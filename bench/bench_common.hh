@@ -12,8 +12,6 @@
  *                  measures wall-clock and parallel workers make the
  *                  per-cell timings incomparable)
  *   --num-mcs=N    memory controllers per simulated machine (default 1)
- *   --lanes=N      threads for the per-MC event lanes (default 1;
- *                  needs --num-mcs > 1, results identical at any N)
  *
  * Harnesses that sweep the (app x mode) matrix obtain their rows from
  * the parallel campaign runner (system/campaign.hh), so wall-clock
@@ -51,7 +49,6 @@ struct BenchOptions
     bool quick = false;
     unsigned jobs = 0; //!< campaign workers; 0 = hardware concurrency
     unsigned numMcs = 1; //!< controllers per simulated machine
-    unsigned lanes = 1;  //!< event-lane threads (needs numMcs > 1)
 
     ExperimentConfig
     experimentConfig() const
@@ -101,18 +98,11 @@ parseBenchOptions(int argc, char **argv)
                 std::fprintf(stderr, "--num-mcs needs N >= 1\n");
                 std::exit(1);
             }
-        } else if (arg.rfind("--lanes=", 0) == 0) {
-            opts.lanes = static_cast<unsigned>(
-                std::atoi(arg.c_str() + 8));
-            if (opts.lanes == 0) {
-                std::fprintf(stderr, "--lanes needs N >= 1\n");
-                std::exit(1);
-            }
         } else if (arg == "--help" || arg == "-h") {
             std::fprintf(stderr,
                          "usage: %s [--quick] [--scale=X] "
                          "[--queries=N] [--seed=S] [--jobs=N] "
-                         "[--num-mcs=N] [--lanes=N]\n",
+                         "[--num-mcs=N]\n",
                          argv[0]);
             std::exit(0);
         } else {
@@ -151,7 +141,6 @@ runBenchCampaign(const BenchOptions &opts, std::vector<DedupMode> modes)
     spec.experiment = opts.experimentConfig();
     spec.jobs = opts.jobs;
     spec.sysTemplate.numMcs = opts.numMcs;
-    spec.sysTemplate.lanes = opts.lanes;
     spec.progress = [](const CellOutcome &outcome, std::size_t done,
                        std::size_t total) {
         progress("[" + std::to_string(done) + "/" +

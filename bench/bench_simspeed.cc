@@ -15,10 +15,9 @@
  * when comparing builds; parallel workers share caches and memory
  * bandwidth and the per-cell timings stop being comparable.
  *
- * `--num-mcs=N --lanes=N` benchmark the multi-controller machine with
- * its parallel event lanes: N > 1 lanes speed up the wall clock while
- * the simulated results stay identical, so events-per-second is the
- * figure of merit and the report records both knobs (schema v2).
+ * `--num-mcs=N` benchmarks the multi-controller machine; the report
+ * records `jobs` and `num_mcs`, the pair a gate compares like with
+ * like on (schema v3).
  */
 
 #include <cstdio>
@@ -42,7 +41,6 @@ struct SpeedOptions
     std::uint64_t seed = 42;
     unsigned jobs = 1;
     unsigned numMcs = 1;
-    unsigned lanes = 1;
     double baselineSeconds = 0.0;
     std::string outPath = "BENCH_simspeed.json";
     bool quick = false;
@@ -76,13 +74,6 @@ parseSpeedOptions(int argc, char **argv)
                 std::fprintf(stderr, "--num-mcs needs N >= 1\n");
                 std::exit(1);
             }
-        } else if (arg.rfind("--lanes=", 0) == 0) {
-            opts.lanes =
-                static_cast<unsigned>(std::atoi(arg.c_str() + 8));
-            if (opts.lanes == 0) {
-                std::fprintf(stderr, "--lanes needs N >= 1\n");
-                std::exit(1);
-            }
         } else if (arg.rfind("--baseline-seconds=", 0) == 0) {
             opts.baselineSeconds = std::atof(arg.c_str() + 19);
         } else if (arg.rfind("--out=", 0) == 0) {
@@ -92,7 +83,7 @@ parseSpeedOptions(int argc, char **argv)
                          "usage: %s [--quick] [--scale=X] "
                          "[--queries=N] [--seed=S] [--jobs=N (default "
                          "1: serial, for comparable timings)] "
-                         "[--num-mcs=N] [--lanes=N] "
+                         "[--num-mcs=N] "
                          "[--baseline-seconds=X] [--out=FILE]\n",
                          argv[0]);
             std::exit(0);
@@ -117,7 +108,6 @@ main(int argc, char **argv)
     spec.experiment.seed = opts.seed;
     spec.jobs = opts.jobs;
     spec.sysTemplate.numMcs = opts.numMcs;
-    spec.sysTemplate.lanes = opts.lanes;
     spec.progress = [](const CellOutcome &outcome, std::size_t done,
                        std::size_t total) {
         progress("[" + std::to_string(done) + "/" +

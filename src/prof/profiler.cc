@@ -41,7 +41,7 @@ struct SiteSlot
 /**
  * One buffer per thread, single-writer. Registered under g_mutex on
  * first use and kept alive for the process lifetime so snapshot() can
- * read buffers of threads that have since exited (lane-pool workers
+ * read buffers of threads that have since exited (campaign workers
  * are joined before any snapshot, so the reads are race-free).
  */
 struct ThreadBuf
@@ -118,7 +118,6 @@ siteName(Site site)
       case Site::SimdCompare: return "simd-compare";
       case Site::EccCompute: return "ecc-compute";
       case Site::ScanTableWalk: return "scan-table-walk";
-      case Site::TraceFlush: return "trace-flush";
       case Site::MetricsSample: return "metrics-sample";
     }
     return "?";
@@ -133,7 +132,6 @@ siteComponent(Site site)
       case Site::SimdCompare: return TraceComponent::Sim;
       case Site::EccCompute: return TraceComponent::DramBw;
       case Site::ScanTableWalk: return TraceComponent::ScanTable;
-      case Site::TraceFlush: return TraceComponent::Sim;
       case Site::MetricsSample: return TraceComponent::Sim;
     }
     return TraceComponent::Sim;

@@ -21,9 +21,8 @@
  *
  * Thread-safety: recordNs() is safe from any thread. snapshot(),
  * reset() and the report writers must only run while no instrumented
- * region is executing (between experiment runs) — the same
- * single-writer-per-phase discipline the lane scheduler already
- * enforces.
+ * region is executing (between experiment runs, e.g. after the
+ * campaign runner has joined its workers).
  */
 
 #pragma once
@@ -47,11 +46,10 @@ enum class Site : unsigned {
     SimdCompare,       ///< SIMD page-compare kernels
     EccCompute,        ///< ECC encode on MC line accesses
     ScanTableWalk,     ///< PageForgeModule batch processing
-    TraceFlush,        ///< lane trace-buffer merge + sink writes
     MetricsSample,     ///< MetricsSampler periodic sampling
 };
 
-constexpr unsigned numSites = 7;
+constexpr unsigned numSites = 6;
 
 const char *siteName(Site site);
 TraceComponent siteComponent(Site site);

@@ -11,14 +11,6 @@ namespace pageforge
 namespace
 {
 
-// Lane whose events this thread is dispatching. Worker threads set it
-// around each phase-2 lane run; everything else (construction,
-// warm-up, phase 1, the serial executor between lane runs) reads 0 or
-// whatever the serial executor last set — the serial executor sets it
-// too, so the per-lane trace buffers fill identically under both
-// executors.
-thread_local unsigned t_currentLane = 0;
-
 std::uint64_t
 satSub(std::uint64_t a, std::uint64_t b)
 {
@@ -40,14 +32,8 @@ ExecTelemetry::phase2Efficiency() const
             static_cast<double>(lanes.size() - 1));
 }
 
-unsigned
-LaneScheduler::currentLaneId()
-{
-    return t_currentLane;
-}
-
 LaneScheduler::LaneScheduler(EventQueue &lane0, unsigned shard_lanes,
-                             Tick quantum, unsigned threads)
+                             Tick quantum)
     : _lane0(lane0), _quantum(quantum)
 {
     pf_assert(shard_lanes > 0, "lane scheduler needs at least one shard lane");
@@ -59,28 +45,7 @@ LaneScheduler::LaneScheduler(EventQueue &lane0, unsigned shard_lanes,
 
     _laneSpans.resize(shard_lanes);
     _telemetry.lanes.resize(1 + shard_lanes);
-
-    _threads = std::min(threads, shard_lanes);
-    if (_threads <= 1) {
-        _threads = 0; // serial executor
-        _telemetry.workerBusyNs.resize(1);
-        return;
-    }
-    _telemetry.workerBusyNs.resize(1 + _threads);
-    _workers.reserve(_threads);
-    for (unsigned i = 0; i < _threads; ++i)
-        _workers.emplace_back([this, i] { workerLoop(i + 1); });
-}
-
-LaneScheduler::~LaneScheduler()
-{
-    {
-        std::lock_guard<std::mutex> lock(_poolMutex);
-        _shutdown.store(true, std::memory_order_release);
-    }
-    _poolStart.notify_all();
-    for (std::thread &worker : _workers)
-        worker.join();
+    _telemetry.workerBusyNs.resize(1);
 }
 
 EventQueue &
@@ -106,7 +71,7 @@ LaneScheduler::drainMailboxes()
 {
     // Ascending destination lane, then posting sequence: a total order
     // over this quantum's mail, so the destination queues' tie-breaking
-    // sequence numbers come out the same on every run and executor.
+    // sequence numbers come out the same on every run.
     for (std::size_t dst = 0; dst < _mailboxes.size(); ++dst) {
         std::vector<Mail> &box = _mailboxes[dst];
         EventQueue &queue = *_shardLanes[dst];
@@ -125,136 +90,15 @@ LaneScheduler::drainMailboxes()
 }
 
 void
-LaneScheduler::runShardLane(unsigned lane_id, Tick limit)
-{
-    unsigned prev = t_currentLane;
-    t_currentLane = lane_id;
-    if (prof::enabled()) {
-        HostSpan &span = _laneSpans[lane_id - 1];
-        span.startNs = prof::nowNs();
-        _shardLanes[lane_id - 1]->runUntil(limit);
-        span.endNs = prof::nowNs();
-    } else {
-        _shardLanes[lane_id - 1]->runUntil(limit);
-    }
-    t_currentLane = prev;
-}
-
-void
 LaneScheduler::runPhase2(Tick limit)
 {
-    // With nothing pending on any shard lane this quantum, skip the
-    // pool handshake (KSM/baseline cells at numMcs > 1 hit this every
-    // quantum) — empty runUntil calls only advance the lane clocks.
-    bool any_work = false;
-    for (const auto &queue : _shardLanes)
-        any_work |= !queue->empty() && queue->nextEventTick() <= limit;
-
     const bool profiling = prof::enabled();
-    _schedSelfNs = 0;
-
-    if (_threads == 0 || !any_work) {
-        for (unsigned id = 1; id <= _shardLanes.size(); ++id) {
-            runShardLane(id, limit);
-            if (profiling) {
-                const HostSpan &span = _laneSpans[id - 1];
-                const std::uint64_t ran =
-                    satSub(span.endNs, span.startNs);
-                _schedSelfNs += ran;
-                _telemetry.workerBusyNs[0] += ran;
-            }
-        }
-        return;
-    }
-
-    const unsigned lanes = static_cast<unsigned>(_shardLanes.size());
-    _phaseLimit = limit;
-    _lanesDone.store(0, std::memory_order_relaxed);
-    // Release store: a batch-N straggler may claim a batch-N+1 lane
-    // straight off this counter without ever touching the generation,
-    // and its acquire RMW must then see _phaseLimit/_lanesDone above.
-    _nextLane.store(1, std::memory_order_release);
-    // Publish the batch. Workers in their spin window acquire the new
-    // generation lock-free; the mutex section only orders the bump
-    // against a worker that already gave up and went to sleep.
-    {
-        std::lock_guard<std::mutex> lock(_poolMutex);
-        _generation.fetch_add(1, std::memory_order_release);
-    }
-    _poolStart.notify_all();
-
-    // The scheduling thread claims lanes too: with one walk pending
-    // per lane (the common quantum) it does real work instead of
-    // sleeping through a condvar round trip.
-    for (;;) {
-        unsigned lane_id = _nextLane.fetch_add(1,
-                                               std::memory_order_acquire);
-        if (lane_id > lanes)
-            break;
-        runShardLane(lane_id, limit);
-        if (profiling) {
-            const HostSpan &span = _laneSpans[lane_id - 1];
-            const std::uint64_t ran = satSub(span.endNs, span.startNs);
-            _schedSelfNs += ran;
-            _telemetry.workerBusyNs[0] += ran;
-        }
-        _lanesDone.fetch_add(1, std::memory_order_acq_rel);
-    }
-    // Straggler wait: phase-2 work is microseconds, so spin first and
-    // only yield once it looks like a genuinely long walk.
-    for (unsigned spins = 0;
-         _lanesDone.load(std::memory_order_acquire) != lanes; ++spins) {
-        if (spins > 10000)
-            std::this_thread::yield();
-    }
-}
-
-void
-LaneScheduler::workerLoop(unsigned slot)
-{
-    const unsigned lanes = static_cast<unsigned>(_shardLanes.size());
-    std::uint64_t seen_generation = 0;
-    for (;;) {
-        // Spin for the next quantum first — quanta arrive every few
-        // microseconds under load — then sleep; the condvar catches
-        // idle stretches (and shutdown) without burning a core.
-        bool fresh = false;
-        for (unsigned spins = 0; spins < 500; ++spins) {
-            if (_shutdown.load(std::memory_order_acquire))
-                return;
-            if (_generation.load(std::memory_order_acquire) !=
-                seen_generation) {
-                fresh = true;
-                break;
-            }
-        }
-        if (!fresh) {
-            std::unique_lock<std::mutex> lock(_poolMutex);
-            _poolStart.wait(lock, [&] {
-                return _shutdown.load(std::memory_order_acquire) ||
-                    _generation.load(std::memory_order_acquire) !=
-                    seen_generation;
-            });
-            if (_shutdown.load(std::memory_order_acquire))
-                return;
-        }
-        seen_generation = _generation.load(std::memory_order_acquire);
-        for (;;) {
-            unsigned lane_id = _nextLane.fetch_add(
-                1, std::memory_order_acquire);
-            if (lane_id > lanes)
-                break;
-            runShardLane(lane_id, _phaseLimit);
-            // _telemetry.workerBusyNs[slot] is this worker's alone;
-            // the write is ordered before the scheduler's post-barrier
-            // reads by the _lanesDone release below.
-            if (prof::enabled()) {
-                const HostSpan &span = _laneSpans[lane_id - 1];
-                _telemetry.workerBusyNs[slot] +=
-                    satSub(span.endNs, span.startNs);
-            }
-            _lanesDone.fetch_add(1, std::memory_order_acq_rel);
-        }
+    for (std::size_t i = 0; i < _shardLanes.size(); ++i) {
+        if (profiling)
+            _laneSpans[i].startNs = prof::nowNs();
+        _shardLanes[i]->runUntil(limit);
+        if (profiling)
+            _laneSpans[i].endNs = prof::nowNs();
     }
 }
 
@@ -266,14 +110,11 @@ LaneScheduler::runUntil(Tick limit)
     while (now < limit) {
         Tick boundary = std::min(limit, now + _quantum);
         const bool profiling = prof::enabled();
-        std::uint64_t t0 = 0, t1 = 0, t2 = 0, t3 = 0;
-        if (profiling) {
-            if (_epochNs == 0)
-                _epochNs = prof::nowNs();
+        std::uint64_t t0 = 0, t1 = 0, t2 = 0;
+        if (profiling)
             t0 = prof::nowNs();
-        }
-        // Phase 1: lane 0 alone. All shared-state mutation happens
-        // here, so phase 2 reads a frozen machine image.
+        // Phase 1: lane 0. All shared-state mutation happens here, so
+        // phase 2 reads a frozen machine image.
         _lane0.runUntil(boundary);
         if (profiling) {
             t1 = prof::nowNs();
@@ -283,19 +124,15 @@ LaneScheduler::runUntil(Tick limit)
             _telemetry.mailboxHwm =
                 std::max<std::uint64_t>(_telemetry.mailboxHwm, depth);
         }
-        // Barrier part 1: hand phase-1 mail to the shard lanes before
-        // they run, in deterministic order.
+        // Barrier: hand phase-1 mail to the shard lanes before they
+        // run, in deterministic order.
         drainMailboxes();
         if (profiling)
             t2 = prof::nowNs();
-        // Phase 2: shard lanes in parallel (or in lane order, serially).
+        // Phase 2: shard lanes in lane order.
         runPhase2(boundary);
-        if (profiling) {
-            t3 = prof::nowNs();
-            recordQuantum(t0, t1, t2, t3);
-        }
-        if (_quantumHook)
-            _quantumHook();
+        if (profiling)
+            recordQuantum(t0, t1, t2, prof::nowNs());
         now = boundary;
     }
     return eventsDispatched() - before;
@@ -310,15 +147,13 @@ LaneScheduler::recordQuantum(std::uint64_t t0, std::uint64_t t1,
     _telemetry.drainNs += satSub(t2, t1);
     _telemetry.phase2Ns += satSub(t3, t2);
 
-    // Lane 0's accounting: busy through phase 1 plus whatever phase-2
-    // lanes the scheduling thread ran itself, idle through the drain,
-    // stalled for the rest of the barrier. Each lane's three series
-    // sum exactly to this quantum's wall time (t3 - t0).
+    // Lane 0 is busy through phase 1, idle through the drain and
+    // stalled while the shard lanes run. Each lane's three series sum
+    // exactly to this quantum's wall time (t3 - t0).
     LaneExecStats &lane0 = _telemetry.lanes[0];
-    const std::uint64_t self = std::min(_schedSelfNs, satSub(t3, t2));
-    lane0.busyNs += satSub(t1, t0) + self;
+    lane0.busyNs += satSub(t1, t0);
     lane0.idleNs += satSub(t2, t1);
-    lane0.stallNs += satSub(t3, t2) - self;
+    lane0.stallNs += satSub(t3, t2);
 
     for (std::size_t i = 0; i < _laneSpans.size(); ++i) {
         // Clamp into the quantum: a span written under a profiling
@@ -331,12 +166,8 @@ LaneScheduler::recordQuantum(std::uint64_t t0, std::uint64_t t1,
         lane.stallNs += start - t0;
         lane.busyNs += end - start;
         lane.idleNs += t3 - end;
-        if (_hostSpanHook && end > start)
-            _hostSpanHook(static_cast<unsigned>(i + 1),
-                          start - _epochNs, end - _epochNs);
+        _telemetry.workerBusyNs[0] += end - start;
     }
-    if (_hostSpanHook && t1 > t0)
-        _hostSpanHook(0, t0 - _epochNs, t1 - _epochNs);
 }
 
 std::uint64_t

@@ -1,6 +1,7 @@
 /**
  * @file
- * Conservative parallel event lanes (multi-MC machines).
+ * Per-MC event lanes under a serial quantum superstep (multi-MC
+ * machines).
  *
  * A multi-controller machine splits its single event queue into one
  * *lane* per MC shard plus lane 0 for everything else (cores, the
@@ -8,15 +9,15 @@
  * advance through a shared sequence of fixed-size time quanta; inside
  * one quantum the schedule is a two-phase superstep:
  *
- *   phase 1  lane 0 runs alone to the quantum boundary. Every
- *            mutation of shared machine state (frame contents,
- *            refcounts, content trees, merge commits) happens here.
+ *   phase 1  lane 0 runs to the quantum boundary. Every mutation of
+ *            shared machine state (frame contents, refcounts, content
+ *            trees, merge commits) happens here.
  *   drain    cross-lane messages posted during phase 1 are moved
  *            from their mailboxes onto the destination lanes in
  *            deterministic (lane, sequence) order.
- *   phase 2  the shard lanes run to the same boundary, each touching
- *            only state its MC owns (its module, Scan Table, and
- *            controller timing) plus read-only frame bytes that
+ *   phase 2  the shard lanes run to the same boundary, one after the
+ *            other, each touching only state its MC owns (its module,
+ *            Scan Table, and controller timing) plus frame bytes that
  *            phase 1 has already frozen for this quantum.
  *
  * Phase ordering is the lookahead contract: lane 0 → shard sends are
@@ -24,27 +25,19 @@
  * yet, so any tick ≥ the quantum start is in its future), while
  * shard → lane 0 information only flows through state that lane 0
  * polls in the *next* quantum, bounding it by one quantum — which is
- * why the quantum defaults to the PageForge driver's polling period
- * and why the CrossMcRouter's 160-tick hop never needs to cross lanes
+ * why the quantum is the PageForge driver's polling period and why
+ * the CrossMcRouter's 160-tick hop never needs to cross lanes
  * directly.
  *
- * The same superstep runs on one thread (`threads <= 1`, the serial
- * executor) or on a pool with one worker per shard lane. Both
- * executors dispatch the identical event sequence, so a threaded run
- * is bit-identical to the serial run by construction; the threaded
- * one merely overlaps the phase-2 wall-clock across lanes.
+ * All lanes run on the calling thread: a quantum holds too little
+ * phase-2 work to pay for a thread handshake (DESIGN.md §13).
  */
 
 #ifndef PF_SIM_LANE_SCHEDULER_HH
 #define PF_SIM_LANE_SCHEDULER_HH
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -58,7 +51,7 @@ struct LaneExecStats
 {
     std::uint64_t busyNs = 0;  //!< dispatching events
     std::uint64_t idleNs = 0;  //!< done with the quantum, waiting
-    std::uint64_t stallNs = 0; //!< waiting on phase 1 / the barrier
+    std::uint64_t stallNs = 0; //!< waiting for its turn in the quantum
 };
 
 /**
@@ -66,23 +59,27 @@ struct LaneExecStats
  * only while prof::enabled() (the accounting is free otherwise). Per
  * lane and per quantum, busy + idle + stall sums to the quantum's
  * wall time, so the three series partition the run exactly.
+ *
+ * The field set (including the one-slot workerBusyNs and
+ * phase2Efficiency()) is kept as is because the host-time benchmark
+ * under hostbench/ reads it.
  */
 struct ExecTelemetry
 {
     std::uint64_t quanta = 0;
-    std::uint64_t phase1Ns = 0; //!< lane 0 running alone
+    std::uint64_t phase1Ns = 0; //!< lane 0 running
     std::uint64_t drainNs = 0;  //!< mailbox drain at the barrier
-    std::uint64_t phase2Ns = 0; //!< shard lanes (parallel region)
+    std::uint64_t phase2Ns = 0; //!< shard lanes
     std::uint64_t mailboxHwm = 0; //!< deepest single mailbox at a drain
     /** Index 0 = lane 0, then one entry per shard lane. */
     std::vector<LaneExecStats> lanes;
-    /** Slot 0 = the scheduling thread, then one slot per worker. */
+    /** One slot: the scheduling thread's phase-2 busy time. */
     std::vector<std::uint64_t> workerBusyNs;
 
     /**
-     * Sum of shard-lane busy time over the perfect-overlap bound
-     * (phase-2 wall time x shard lanes): 1.0 means every lane worked
-     * the whole parallel region, 1/N means effectively serial.
+     * Sum of shard-lane busy time over phase-2 wall time x shard
+     * lanes. Lanes run one after the other, so this is at most
+     * 1/shard-lanes.
      */
     double phase2Efficiency() const;
 };
@@ -95,13 +92,8 @@ class LaneScheduler
      * @param lane0       the machine's primary queue (not owned)
      * @param shard_lanes number of extra lanes, one per MC shard
      * @param quantum     barrier period in ticks
-     * @param threads     phase-2 worker threads; <= 1 selects the
-     *                    serial executor (identical schedule, one
-     *                    thread). Clamped to @p shard_lanes.
      */
-    LaneScheduler(EventQueue &lane0, unsigned shard_lanes, Tick quantum,
-                  unsigned threads);
-    ~LaneScheduler();
+    LaneScheduler(EventQueue &lane0, unsigned shard_lanes, Tick quantum);
 
     LaneScheduler(const LaneScheduler &) = delete;
     LaneScheduler &operator=(const LaneScheduler &) = delete;
@@ -117,44 +109,21 @@ class LaneScheduler
 
     Tick quantum() const { return _quantum; }
 
-    /** Phase-2 worker threads actually used (0 = serial executor). */
-    unsigned threads() const { return _threads; }
+    /**
+     * Phase-2 worker threads: always 0 (every lane runs on the calling
+     * thread). Kept for the host-time benchmark, which reports it.
+     */
+    unsigned threads() const { return 0; }
 
     /**
      * Post a callback to another lane's queue. Must be called from
      * lane 0 during phase 1 (the driver side); the per-destination
-     * mailboxes are single-producer and drained at the quantum
-     * boundary in (lane, sequence) order, so delivery is
-     * deterministic regardless of executor. @p when must not precede
-     * the destination lane's clock — a cross-lane event in the past
-     * panics at drain time, mirroring EventQueue::schedule.
+     * mailboxes are drained at the quantum boundary in (lane,
+     * sequence) order, so delivery is deterministic. @p when must not
+     * precede the destination lane's clock — a cross-lane event in the
+     * past panics at drain time, mirroring EventQueue::schedule.
      */
     void post(unsigned dst_lane, Tick when, EventQueue::Callback cb);
-
-    /**
-     * Invoked on the scheduling thread after every quantum (and once
-     * more when runUntil returns). The trace layer uses this to merge
-     * per-lane buffers in timestamp order.
-     */
-    void setQuantumHook(std::function<void()> hook)
-    {
-        _quantumHook = std::move(hook);
-    }
-
-    /**
-     * Host-time span per lane per quantum, invoked on the scheduling
-     * thread after the phase-2 barrier (so reads of worker-written
-     * spans are ordered). Timestamps are nanoseconds since the first
-     * profiled quantum; the trace layer maps them onto the pid-2 lane
-     * tracks. Only fires while prof::enabled().
-     */
-    using HostSpanHook = std::function<void(
-        unsigned lane, std::uint64_t start_ns, std::uint64_t end_ns)>;
-
-    void setHostSpanHook(HostSpanHook hook)
-    {
-        _hostSpanHook = std::move(hook);
-    }
 
     /** Accumulated host-time telemetry (empty unless profiling ran). */
     const ExecTelemetry &telemetry() const { return _telemetry; }
@@ -174,13 +143,6 @@ class LaneScheduler
     /** Cross-lane messages delivered so far. */
     std::uint64_t messagesDelivered() const { return _delivered; }
 
-    /**
-     * Lane whose events the calling thread is currently dispatching
-     * (0 outside phase 2 — construction, warm-up, and all of lane 0).
-     * The per-lane trace buffers key on this.
-     */
-    static unsigned currentLaneId();
-
   private:
     struct Mail
     {
@@ -189,17 +151,20 @@ class LaneScheduler
         EventQueue::Callback cb;
     };
 
+    struct HostSpan
+    {
+        std::uint64_t startNs = 0;
+        std::uint64_t endNs = 0;
+    };
+
     void drainMailboxes();
-    void runShardLane(unsigned lane_id, Tick limit);
     void runPhase2(Tick limit);
-    void workerLoop(unsigned slot);
     void recordQuantum(std::uint64_t t0, std::uint64_t t1,
                        std::uint64_t t2, std::uint64_t t3);
 
     EventQueue &_lane0;
     std::vector<std::unique_ptr<EventQueue>> _shardLanes;
     Tick _quantum;
-    unsigned _threads;
 
     // One mailbox per destination shard lane; appended only by lane 0
     // (phase 1), drained only at the barrier. seq is global so the
@@ -208,41 +173,10 @@ class LaneScheduler
     std::uint64_t _nextMailSeq = 0;
     std::uint64_t _delivered = 0;
 
-    std::function<void()> _quantumHook;
-
-    // Phase-2 pool. A quantum is short (default: one driver polling
-    // period), so the handshake must cost less than the work: lanes
-    // are claimed lock-free off _nextLane, the scheduling thread
-    // claims lanes alongside the workers, and workers spin briefly on
-    // the generation counter before falling back to a condvar sleep
-    // (the mutex exists only for that sleep). The generation bump is
-    // a release store after _phaseLimit/_nextLane/_lanesDone are set,
-    // so a worker that acquires it sees the whole batch; _lanesDone's
-    // final increment is the release the scheduler acquires before
-    // touching any phase-2 result.
-    std::vector<std::thread> _workers;
-    std::mutex _poolMutex;
-    std::condition_variable _poolStart;
-    std::atomic<std::uint64_t> _generation{0};
-    std::atomic<unsigned> _nextLane{0};
-    std::atomic<unsigned> _lanesDone{0};
-    Tick _phaseLimit = 0;
-    std::atomic<bool> _shutdown{false};
-
-    // Host-time telemetry. _laneSpans is single-writer per quantum
-    // (whichever thread claimed the lane) and read by the scheduling
-    // thread only after the barrier, so the existing _lanesDone
-    // acquire/release chain orders it without extra synchronization.
-    struct HostSpan
-    {
-        std::uint64_t startNs = 0;
-        std::uint64_t endNs = 0;
-    };
+    // Host-time telemetry: each shard lane's phase-2 span in the
+    // current quantum (profiling runs only).
     std::vector<HostSpan> _laneSpans;
-    std::uint64_t _schedSelfNs = 0;
-    std::uint64_t _epochNs = 0;
     ExecTelemetry _telemetry;
-    HostSpanHook _hostSpanHook;
 };
 
 } // namespace pageforge

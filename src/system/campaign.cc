@@ -118,7 +118,6 @@ runCampaign(const CampaignSpec &spec)
         jobs, std::max<std::size_t>(matrix.size(), 1)));
     report.jobs = jobs;
     report.numMcs = spec.sysTemplate.numMcs;
-    report.lanes = spec.sysTemplate.lanes;
 
     auto start = std::chrono::steady_clock::now();
 
@@ -476,7 +475,7 @@ jsonResult(std::ostream &os, const ExperimentResult &r)
         }
         os << "]";
     }
-    // Lane-executor host telemetry; only present on profiling runs
+    // Lane-scheduler host telemetry; only present on profiling runs
     // (host wall-clock, excluded from identicalResults like
     // hostSeconds).
     if (r.exec.enabled) {
@@ -606,13 +605,11 @@ writePerfReport(const CampaignReport &report, std::ostream &os,
         peak_rss = std::max(peak_rss, outcome.peakRssKb);
     }
 
-    // v2 added lanes/num_mcs so a gate can compare serial and parallel
-    // entries of the same matrix separately (v1 had neither, implying
-    // the classic 1-MC serial machine).
-    os << "{\"schema\":\"pageforge-simspeed-v2\"";
+    // A gate keys entries on (num_mcs, jobs). Legacy v2 entries also
+    // carry "lanes"; v1 entries have no num_mcs, implying 1 MC.
+    os << "{\"schema\":\"pageforge-simspeed-v3\"";
     os << ",\"jobs\":" << report.jobs;
     os << ",\"num_mcs\":" << report.numMcs;
-    os << ",\"lanes\":" << report.lanes;
     os << ",\"wall_seconds\":";
     jsonDouble(os, report.wallSeconds);
     if (baseline_seconds > 0.0) {

@@ -116,7 +116,6 @@ struct CampaignReport
     double wallSeconds = 0.0; //!< host wall-clock of the whole run
     unsigned jobs = 0;        //!< workers actually used
     unsigned numMcs = 1;      //!< sysTemplate.numMcs of the run
-    unsigned lanes = 1;       //!< sysTemplate.lanes (perf-report key)
 
     /** Number of cells that failed. */
     std::size_t failures() const;

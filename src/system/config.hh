@@ -67,25 +67,6 @@ struct SystemConfig
      */
     unsigned numMcs = 1;
 
-    /**
-     * Parallel event lanes (src/sim/lane_scheduler.hh). A PageForge
-     * machine with numMcs > 1 runs each module's table walks on a
-     * per-MC lane; this knob sets how many host threads execute those
-     * lanes in phase 2 of each quantum. 1 (the default) runs the
-     * identical lane schedule serially; N > 1 only changes wall-clock
-     * speed, never results. Ignored at numMcs == 1 (no lanes exist)
-     * and forced back to 1 when fault injection is enabled.
-     */
-    unsigned lanes = 1;
-
-    /**
-     * Conservative quantum of the lane scheduler in ticks. 0 (the
-     * default) derives it from pfDriver.osCheckInterval — the natural
-     * lookahead, since the driver only inspects walk results at check
-     * polls. Only meaningful when lanes exist.
-     */
-    Tick laneQuantum = 0;
-
     CacheConfig l1{"l1", 32 * 1024, 8, 2, 16};
     CacheConfig l2{"l2", 256 * 1024, 8, 6, 16};
     CacheConfig l3{"l3", 32 * 1024 * 1024, 20, 20, 24};

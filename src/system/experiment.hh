@@ -197,9 +197,11 @@ struct McSummary
 };
 
 /**
- * Host-time telemetry of the lane-scheduler executor, captured only
- * when profiling was enabled for the run. Host wall-clock, like
- * hostSeconds: excluded from identicalResults().
+ * Host-time telemetry of the lane scheduler, captured only when
+ * profiling was enabled for the run. Host wall-clock, like
+ * hostSeconds: excluded from identicalResults(). The field set is
+ * kept as is because the host-time benchmark under hostbench/ reads
+ * it.
  */
 struct ExecSummary
 {
@@ -285,7 +287,8 @@ struct ExperimentResult
     unsigned numMcs = 1;
     std::vector<McSummary> perMc;
 
-    // Lane-executor host telemetry (profiling runs only).
+    // Lane-scheduler host telemetry (profiling runs only; read by the
+    // host-time benchmark).
     ExecSummary exec;
 
     /**

@@ -1,7 +1,6 @@
 #include "system/system.hh"
 
 #include <algorithm>
-#include <thread>
 
 #include "fault/fault_injector.hh"
 #include "fault/merge_oracle.hh"
@@ -86,39 +85,16 @@ System::System(const SystemConfig &config, const AppProfile &app)
         // content-tree shard per module and routes each candidate to
         // the shard owning its content-key prefix.
         //
-        // With several controllers the machine also gets parallel
-        // event lanes: lane 0 (the primary queue) runs cores, the
-        // hypervisor, and the whole driver; lane m+1 runs module m's
-        // table walks. The driver's insert/update_PFE self-trigger is
-        // re-routed to the module's lane, and each module reads lines
-        // through its own channel only (local-channel mode), so phase 2
-        // of a quantum touches no shared state. Fault injection mutates
-        // memory from MC read paths, so it pins execution to one
-        // thread — the schedule is the same either way.
+        // With several controllers the machine also gets per-MC event
+        // lanes: lane 0 (the primary queue) runs cores, the hypervisor,
+        // and the whole driver; lane m+1 runs module m's table walks.
+        // The driver's insert/update_PFE self-trigger is re-routed to
+        // the module's lane, and each module reads lines through its
+        // own channel only (local-channel mode), so phase 2 of a
+        // quantum touches no shared state.
         if (_config.numMcs > 1) {
-            Tick quantum = _config.laneQuantum
-                ? _config.laneQuantum
-                : _config.pfDriver.osCheckInterval;
-            // Threads beyond the host's cores are pure scheduling
-            // overhead (the quantum is microseconds of host work), so
-            // clamp; the schedule — and therefore every result — is
-            // the same at any clamp.
-            unsigned hw = std::max(
-                1u, std::thread::hardware_concurrency());
-            unsigned threads = _config.faults.enabled()
-                ? 1
-                : std::min(_config.lanes, hw);
-            if (_config.faults.enabled() &&
-                std::min(_config.lanes, hw) > 1) {
-                pf_inform(Sim,
-                          "faults enabled: running %u requested lanes "
-                          "on one thread (the injector mutates memory "
-                          "from MC read paths); the lane schedule and "
-                          "all results are identical",
-                          _config.lanes);
-            }
             _laneSched = std::make_unique<LaneScheduler>(
-                _eq, _config.numMcs, quantum, threads);
+                _eq, _config.numMcs, _config.pfDriver.osCheckInterval);
         }
         for (unsigned m = 0; m < _config.numMcs; ++m) {
             EventQueue &mod_eq =
@@ -533,39 +509,11 @@ System::startLoad()
     for (auto &app : _apps)
         app->start();
 
-    if (_laneSched && _config.traceSink) {
-        // Shard-lane probes fire from worker threads, so route every
-        // record through per-lane buffers that flush — in timestamp
-        // order — at each quantum boundary, on the primary thread.
-        _laneMux = std::make_unique<LaneTraceMux>(
-            *_config.traceSink, _laneSched->numLanes());
-        _probes.attach(*_laneMux);
-        _laneSched->setQuantumHook([this] { _laneMux->flush(); });
-        if (prof::enabled()) {
-            // Mirror the executor's host-time lane spans into the
-            // trace as a second pid: lane 0's span is the serial
-            // phase 1, shard lanes are their phase-2 slices.
-            TraceSink *sink = _config.traceSink;
-            sink->registerHostLanes(_laneSched->numLanes());
-            _laneSched->setHostSpanHook(
-                [sink](unsigned lane, std::uint64_t start_ns,
-                       std::uint64_t end_ns) {
-                    sink->emitHostLaneSpan(lane, start_ns, end_ns,
-                                           lane == 0 ? "phase1"
-                                                     : "phase2");
-                });
-        }
-        if (_metrics) {
-            _metrics->setBackend(_laneMux.get());
-            _metrics->start();
-        }
-    } else {
-        if (_config.traceSink)
-            _probes.attach(*_config.traceSink);
-        if (_metrics) {
-            _metrics->setBackend(_config.traceSink);
-            _metrics->start();
-        }
+    if (_config.traceSink)
+        _probes.attach(*_config.traceSink);
+    if (_metrics) {
+        _metrics->setBackend(_config.traceSink);
+        _metrics->start();
     }
 
     // Arm the handoff link faults only now: synchronous warm-up passes
@@ -602,11 +550,6 @@ System::finishObservability()
 {
     if (_metrics)
         _metrics->finish();
-    // The final sample lands in this thread's lane buffer when the
-    // mux is the backend; flush so it reaches the sink. Safe here:
-    // run() returns with every worker parked at the barrier.
-    if (_laneMux)
-        _laneMux->flush();
 }
 
 void

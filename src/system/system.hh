@@ -20,7 +20,6 @@
 #include "sim/lane_scheduler.hh"
 #include "system/config.hh"
 #include "system/mc_health.hh"
-#include "trace/lane_buffer.hh"
 #include "trace/metrics_sampler.hh"
 #include "workload/content_gen.hh"
 #include "workload/query_gen.hh"
@@ -104,10 +103,9 @@ class System : public VmHost
 
     /**
      * End-of-run observability wrap-up: capture the sampler's final
-     * partial epoch (see MetricsSampler::finish) and drain any records
-     * still sitting in per-lane trace buffers. Idempotent; call after
-     * the last run() and before reading the series or finishing a
-     * sink.
+     * partial epoch (see MetricsSampler::finish). Idempotent; call
+     * after the last run() and before reading the series or finishing
+     * a sink.
      */
     void finishObservability();
 
@@ -135,8 +133,9 @@ class System : public VmHost
     CrossMcRouter *crossMcRouter() { return _router.get(); }
 
     /**
-     * Null unless the machine runs parallel event lanes (PageForge
-     * mode with numMcs > 1; see sim/lane_scheduler.hh).
+     * Null unless the machine runs per-MC event lanes (PageForge mode
+     * with numMcs > 1; see sim/lane_scheduler.hh). The host-time
+     * benchmark reads its telemetry through this accessor.
      */
     LaneScheduler *laneScheduler() { return _laneSched.get(); }
 
@@ -168,7 +167,6 @@ class System : public VmHost
     EventQueue _eq;
     Rng _rng;
     std::unique_ptr<LaneScheduler> _laneSched;
-    std::unique_ptr<LaneTraceMux> _laneMux;
 
     std::unique_ptr<PhysicalMemory> _mem;
     std::vector<std::unique_ptr<MemController>> _mcs;

@@ -214,47 +214,6 @@ TraceSink::emitFlowEnd(TraceComponent comp, const char *flow_name,
 }
 
 void
-TraceSink::registerHostLanes(unsigned num_lanes)
-{
-    if (_finished)
-        return;
-    _numHostLanes = num_lanes;
-    if (!_first_event)
-        _os << ",";
-    _first_event = false;
-    _os << "\n{\"ph\":\"M\",\"pid\":2,\"tid\":0,\"name\":"
-        << "\"process_name\",\"args\":{\"name\":\"host-exec\"}}";
-    for (unsigned lane = 0; lane < num_lanes; ++lane) {
-        _os << ",\n{\"ph\":\"M\",\"pid\":2,\"tid\":" << (lane + 1)
-            << ",\"name\":\"thread_name\",\"args\":{\"name\":\"lane"
-            << lane << "\"}}";
-    }
-}
-
-void
-TraceSink::emitHostLaneSpan(unsigned lane, std::uint64_t start_ns,
-                            std::uint64_t end_ns, const char *name)
-{
-    if (_finished || lane >= _numHostLanes)
-        return;
-    if (end_ns < start_ns)
-        end_ns = start_ns;
-    if (!_first_event)
-        _os << ",";
-    _first_event = false;
-    char ts[32], dur[32];
-    std::snprintf(ts, sizeof(ts), "%.3f",
-                  static_cast<double>(start_ns) / 1e3);
-    std::snprintf(dur, sizeof(dur), "%.3f",
-                  static_cast<double>(end_ns - start_ns) / 1e3);
-    _os << "\n{\"ph\":\"X\",\"pid\":2,\"tid\":" << (lane + 1)
-        << ",\"ts\":" << ts << ",\"dur\":" << dur << ",\"name\":\""
-        << name << "\"}";
-    ++_host_spans;
-    ++_total_events;
-}
-
-void
 TraceSink::finish()
 {
     if (_finished)

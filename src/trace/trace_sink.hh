@@ -67,23 +67,6 @@ class TraceSink : public TraceBackend
     void emitFlowEnd(TraceComponent comp, const char *flow_name,
                      Tick at, std::uint64_t flow_id) override;
 
-    /**
-     * Declare the host-execution process (pid 2): one named thread
-     * per event lane. Host-time spans land on these tracks, next to —
-     * but on a separate timeline from — the simulated-time tracks of
-     * pid 1.
-     */
-    void registerHostLanes(unsigned num_lanes);
-
-    /**
-     * A host wall-clock span on lane @p lane's pid-2 track.
-     * Timestamps are nanoseconds from an arbitrary epoch (the lane
-     * scheduler uses its first quantum); lanes not declared via
-     * registerHostLanes are dropped.
-     */
-    void emitHostLaneSpan(unsigned lane, std::uint64_t start_ns,
-                          std::uint64_t end_ns, const char *name);
-
     /** Close the JSON document; further events are dropped. */
     void finish();
 
@@ -101,9 +84,6 @@ class TraceSink : public TraceBackend
 
     /** Flow begin/end records written. */
     std::uint64_t flowEvents() const { return _flow_events; }
-
-    /** Host-time (pid 2) lane spans written. */
-    std::uint64_t hostSpans() const { return _host_spans; }
 
   private:
     void writeHeader();
@@ -125,8 +105,6 @@ class TraceSink : public TraceBackend
     std::uint64_t _count[numTraceComponents] = {};
     std::uint64_t _total_events = 0;
     std::uint64_t _flow_events = 0;
-    std::uint64_t _host_spans = 0;
-    unsigned _numHostLanes = 0;
     // Owning component of each dynamic track, indexed by track id - 1.
     // Events on a track count toward (and filter with) that component.
     std::vector<TraceComponent> _trackComps;

@@ -317,10 +317,11 @@ TEST(CampaignPerfReportTest, PerfReportHasRatesAndSpeedup)
     writePerfReport(report, os, /*baseline_seconds=*/4.0);
     std::string json = os.str();
 
-    EXPECT_NE(json.find("\"schema\":\"pageforge-simspeed-v2\""),
+    EXPECT_NE(json.find("\"schema\":\"pageforge-simspeed-v3\""),
               std::string::npos);
+    EXPECT_NE(json.find("\"jobs\":1"), std::string::npos);
     EXPECT_NE(json.find("\"num_mcs\":1"), std::string::npos);
-    EXPECT_NE(json.find("\"lanes\":1"), std::string::npos);
+    EXPECT_EQ(json.find("\"lanes\""), std::string::npos);
     EXPECT_NE(json.find("\"baseline_wall_seconds\":4"),
               std::string::npos);
     EXPECT_NE(json.find("\"speedup\":2"), std::string::npos);

@@ -1,20 +1,14 @@
 /**
  * @file
- * Parallel event lanes: mailbox delivery, quantum barriers, and the
- * bit-identity contract between the serial and threaded executors.
+ * Per-MC event lanes: mailbox delivery, the quantum barrier, host-time
+ * telemetry, and where the machine builds a lane scheduler.
  *
- * The scheduler's whole claim is that thread count never changes
- * results, so most tests here run the same scenario once per executor
- * and diff everything observable: per-lane delivery logs at the unit
- * level, full ExperimentResults (via identicalResults) at the system
- * level.
+ * Result identity of the multi-MC machine is pinned by the 4-MC golden
+ * snapshots in test_golden_stats.cc.
  */
 
-#include <algorithm>
 #include <cstdint>
 #include <sstream>
-#include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -23,11 +17,8 @@
 #include "prof/profiler.hh"
 #include "sim/event_queue.hh"
 #include "sim/lane_scheduler.hh"
-#include "sim/logging.hh"
-#include "system/campaign.hh"
 #include "system/experiment.hh"
 #include "system/system.hh"
-#include "trace/lane_buffer.hh"
 #include "trace/trace_sink.hh"
 
 namespace pageforge
@@ -38,20 +29,17 @@ namespace
 TEST(LaneScheduler, DeliversAtPostedTickOnDestinationLane)
 {
     EventQueue eq;
-    LaneScheduler sched(eq, 2, 100, 1);
+    LaneScheduler sched(eq, 2, 100);
 
     Tick fired_at = 0;
-    unsigned fired_lane = ~0u;
     eq.schedule(10, [&] {
-        sched.post(1, 10, [&] {
-            fired_at = sched.lane(1).curTick();
-            fired_lane = LaneScheduler::currentLaneId();
-        });
+        sched.post(1, 10, [&] { fired_at = sched.lane(1).curTick(); });
     });
     sched.runUntil(100);
 
     EXPECT_EQ(fired_at, 10u);
-    EXPECT_EQ(fired_lane, 1u);
+    EXPECT_EQ(sched.lane(1).eventsDispatched(), 1u);
+    EXPECT_EQ(sched.lane(2).eventsDispatched(), 0u);
     EXPECT_EQ(sched.messagesDelivered(), 1u);
 }
 
@@ -61,7 +49,7 @@ TEST(LaneScheduler, BoundaryTickEventRunsInPostingQuantum)
     // still land in the posting quantum's phase 2: lane runUntil is
     // inclusive of the boundary tick.
     EventQueue eq;
-    LaneScheduler sched(eq, 1, 100, 1);
+    LaneScheduler sched(eq, 1, 100);
 
     Tick fired_at = 0;
     eq.schedule(5, [&] {
@@ -72,22 +60,19 @@ TEST(LaneScheduler, BoundaryTickEventRunsInPostingQuantum)
     EXPECT_EQ(fired_at, 100u);
 }
 
-/** One scenario's observable behaviour: per-lane (tick, tag) logs. */
-std::vector<std::vector<std::pair<Tick, int>>>
-runMailScenario(unsigned threads)
+TEST(LaneScheduler, MailOrderIdenticalAcrossExecutors)
 {
     EventQueue eq;
-    LaneScheduler sched(eq, 3, 50, threads);
+    LaneScheduler sched(eq, 3, 50);
 
-    // Each lane's log is appended only while that lane dispatches, so
-    // no locking — exactly the contract the trace buffers rely on.
+    // Per-lane (tick, tag) delivery logs.
     std::vector<std::vector<std::pair<Tick, int>>> logs(4);
     auto deliver = [&logs, &sched](unsigned dst, int tag) {
         logs[dst].push_back({sched.lane(dst).curTick(), tag});
     };
 
     // Quantum 1: ties on (lane, tick) from one posting event — the
-    // drain's sequence order must break them identically everywhere.
+    // drain's sequence order must break them.
     eq.schedule(0, [&] {
         for (int i = 0; i < 6; ++i) {
             unsigned dst = 1 + static_cast<unsigned>(i) % 3;
@@ -104,35 +89,13 @@ runMailScenario(unsigned threads)
         sched.post(3, 99, [&deliver] { deliver(3, 103); });
     });
     sched.runUntil(200);
-    return logs;
-}
 
-TEST(LaneScheduler, MailOrderIdenticalAcrossExecutors)
-{
-    auto serial = runMailScenario(1);
-    auto threaded = runMailScenario(4);
-
-    ASSERT_EQ(serial.size(), threaded.size());
-    for (std::size_t lane = 0; lane < serial.size(); ++lane)
-        EXPECT_EQ(serial[lane], threaded[lane]) << "lane " << lane;
-
-    // Spot-check the deterministic order itself, not just agreement:
-    // same-tick mail drains in posting-sequence order.
-    ASSERT_EQ(serial[1].size(), 4u);
-    EXPECT_EQ(serial[1][0], (std::pair<Tick, int>{25, 0}));
-    EXPECT_EQ(serial[1][1], (std::pair<Tick, int>{25, 3}));
-    EXPECT_EQ(serial[1][2], (std::pair<Tick, int>{60, 101}));
-    EXPECT_EQ(serial[1][3], (std::pair<Tick, int>{60, 102}));
-}
-
-TEST(LaneScheduler, QuantumHookFiresOncePerQuantum)
-{
-    EventQueue eq;
-    LaneScheduler sched(eq, 2, 100, 1);
-    unsigned hooks = 0;
-    sched.setQuantumHook([&] { ++hooks; });
-    sched.runUntil(500);
-    EXPECT_EQ(hooks, 5u);
+    // Same-tick mail drains in posting-sequence order.
+    ASSERT_EQ(logs[1].size(), 4u);
+    EXPECT_EQ(logs[1][0], (std::pair<Tick, int>{25, 0}));
+    EXPECT_EQ(logs[1][1], (std::pair<Tick, int>{25, 3}));
+    EXPECT_EQ(logs[1][2], (std::pair<Tick, int>{60, 101}));
+    EXPECT_EQ(logs[1][3], (std::pair<Tick, int>{60, 102}));
 }
 
 TEST(LaneSchedulerDeathTest, CrossLaneEventInThePastPanics)
@@ -140,7 +103,7 @@ TEST(LaneSchedulerDeathTest, CrossLaneEventInThePastPanics)
     EXPECT_DEATH(
         {
             EventQueue eq;
-            LaneScheduler sched(eq, 1, 100, 1);
+            LaneScheduler sched(eq, 1, 100);
             // Quantum 1 advances lane 1's clock to 100; a quantum-2
             // post below that is stale and must die at drain time.
             eq.schedule(150, [&] { sched.post(1, 50, [] {}); });
@@ -154,168 +117,17 @@ TEST(LaneSchedulerDeathTest, PostToLaneZeroPanics)
     EXPECT_DEATH(
         {
             EventQueue eq;
-            LaneScheduler sched(eq, 1, 100, 1);
+            LaneScheduler sched(eq, 1, 100);
             sched.post(0, 10, [] {});
         },
         "invalid lane");
-}
-
-TEST(LaneTraceMux, FlushMergesBuffersInTimestampOrder)
-{
-    // Recording backend: the order of arrival is the assertion.
-    struct Recorder : TraceBackend
-    {
-        std::vector<std::pair<std::string, Tick>> events;
-        bool wants(TraceComponent) const override { return true; }
-        void emitSpan(TraceComponent, const char *name, Tick start,
-                      Tick, const TraceArg *, unsigned) override
-        {
-            events.push_back({name, start});
-        }
-        void emitInstant(TraceComponent, const char *name, Tick at,
-                         const TraceArg *, unsigned) override
-        {
-            events.push_back({name, at});
-        }
-        void emitCounter(TraceComponent, const char *series, Tick at,
-                         double) override
-        {
-            events.push_back({series, at});
-        }
-        unsigned registerTrack(const char *, TraceComponent) override
-        {
-            return 0;
-        }
-        void emitCounterTrack(unsigned, TraceComponent,
-                              const char *series, Tick at,
-                              double) override
-        {
-            events.push_back({series, at});
-        }
-    };
-
-    Recorder rec;
-    LaneTraceMux mux(rec, 2);
-
-    // All from the test thread (lane 0) — deliberately out of
-    // timestamp order; flush must replay sorted.
-    mux.emitInstant(TraceComponent::Sim, "c", 30, nullptr, 0);
-    mux.emitSpan(TraceComponent::Sim, "a", 10, 15, nullptr, 0);
-    mux.emitCounter(TraceComponent::Sim, "b", 20, 1.0);
-    EXPECT_EQ(mux.buffered(), 3u);
-    EXPECT_TRUE(rec.events.empty());
-
-    mux.flush();
-    EXPECT_EQ(mux.buffered(), 0u);
-    ASSERT_EQ(rec.events.size(), 3u);
-    EXPECT_EQ(rec.events[0], (std::pair<std::string, Tick>{"a", 10}));
-    EXPECT_EQ(rec.events[1], (std::pair<std::string, Tick>{"b", 20}));
-    EXPECT_EQ(rec.events[2], (std::pair<std::string, Tick>{"c", 30}));
-}
-
-/** Backend recording (name, tick, flow id) in arrival order. */
-struct FlowRecorder : TraceBackend
-{
-    struct Ev
-    {
-        std::string name;
-        Tick at;
-        std::uint64_t flowId;
-
-        bool
-        operator==(const Ev &o) const
-        {
-            return name == o.name && at == o.at && flowId == o.flowId;
-        }
-    };
-    std::vector<Ev> events;
-
-    bool wants(TraceComponent) const override { return true; }
-    void emitSpan(TraceComponent, const char *name, Tick start, Tick,
-                  const TraceArg *, unsigned) override
-    {
-        events.push_back({name, start, 0});
-    }
-    void emitInstant(TraceComponent, const char *name, Tick at,
-                     const TraceArg *, unsigned) override
-    {
-        events.push_back({name, at, 0});
-    }
-    void emitCounter(TraceComponent, const char *series, Tick at,
-                     double) override
-    {
-        events.push_back({series, at, 0});
-    }
-    void emitFlowBegin(TraceComponent, const char *name, Tick at,
-                       std::uint64_t flow_id) override
-    {
-        events.push_back({std::string("s:") + name, at, flow_id});
-    }
-    void emitFlowEnd(TraceComponent, const char *name, Tick at,
-                     std::uint64_t flow_id) override
-    {
-        events.push_back({std::string("f:") + name, at, flow_id});
-    }
-};
-
-TEST(LaneTraceMux, MultiLaneStressMergesByTickLaneOrderWithFlows)
-{
-    // Three shard lanes each emit a burst of spans plus interleaved
-    // flow begin/end pairs from their own dispatch; the merged replay
-    // must come out (tick, lane, intra-lane order)-sorted and be
-    // identical between the serial and threaded executors.
-    auto run = [](unsigned threads) {
-        FlowRecorder rec;
-        EventQueue eq;
-        LaneScheduler sched(eq, 3, 50, threads);
-        LaneTraceMux mux(rec, sched.numLanes());
-        sched.setQuantumHook([&] { mux.flush(); });
-
-        eq.schedule(0, [&] {
-            for (unsigned dst = 1; dst <= 3; ++dst) {
-                // Descending ticks across lanes: lane 3 fires first.
-                Tick at = 40 - dst * 5;
-                sched.post(dst, at, [&mux, dst, at] {
-                    mux.emitSpan(TraceComponent::ScanTable, "work", at,
-                                 at, nullptr, 0);
-                    mux.emitFlowBegin(TraceComponent::ScanTable,
-                                      "hop", at, dst);
-                    mux.emitInstant(TraceComponent::ScanTable, "mid",
-                                    at, nullptr, 0);
-                });
-                // Same-tick tie across all lanes: merge breaks it by
-                // lane index.
-                sched.post(dst, 45, [&mux, dst] {
-                    mux.emitFlowEnd(TraceComponent::ScanTable, "hop",
-                                    45, dst);
-                });
-            }
-        });
-        sched.runUntil(100);
-        return rec.events;
-    };
-
-    std::vector<FlowRecorder::Ev> serial = run(1);
-    std::vector<FlowRecorder::Ev> threaded = run(4);
-    EXPECT_EQ(serial, threaded);
-
-    ASSERT_EQ(serial.size(), 12u);
-    // Ticks 25/30/35 from lanes 3/2/1, then the tick-45 tie in lane
-    // order; within a lane, append order survives.
-    std::vector<FlowRecorder::Ev> expect = {
-        {"work", 25, 0}, {"s:hop", 25, 3}, {"mid", 25, 0},
-        {"work", 30, 0}, {"s:hop", 30, 2}, {"mid", 30, 0},
-        {"work", 35, 0}, {"s:hop", 35, 1}, {"mid", 35, 0},
-        {"f:hop", 45, 1}, {"f:hop", 45, 2}, {"f:hop", 45, 3},
-    };
-    EXPECT_EQ(serial, expect);
 }
 
 TEST(LaneScheduler, TelemetryStaysEmptyWhenProfilingDisabled)
 {
     prof::setEnabled(false);
     EventQueue eq;
-    LaneScheduler sched(eq, 2, 100, 2);
+    LaneScheduler sched(eq, 2, 100);
     eq.schedule(0, [&] { sched.post(1, 10, [] {}); });
     sched.runUntil(500);
     EXPECT_EQ(sched.telemetry().quanta, 0u);
@@ -326,7 +138,7 @@ TEST(LaneScheduler, TelemetryAccountsEveryLanesFullQuantum)
     prof::setEnabled(true);
     {
         EventQueue eq;
-        LaneScheduler sched(eq, 2, 100, 2);
+        LaneScheduler sched(eq, 2, 100);
         eq.schedule(0, [&] {
             sched.post(1, 50, [] {});
             sched.post(2, 150, [] {});
@@ -336,6 +148,7 @@ TEST(LaneScheduler, TelemetryAccountsEveryLanesFullQuantum)
         const ExecTelemetry &tel = sched.telemetry();
         EXPECT_EQ(tel.quanta, 5u);
         ASSERT_EQ(tel.lanes.size(), 3u); // lane 0 + two shard lanes
+        ASSERT_EQ(tel.workerBusyNs.size(), 1u);
         // Each lane's busy + idle + stall covers exactly the same
         // wall-clock: the sum of all quantum durations.
         std::uint64_t wall = tel.phase1Ns + tel.drainNs + tel.phase2Ns;
@@ -356,178 +169,52 @@ TEST(LaneScheduler, TelemetryAccountsEveryLanesFullQuantum)
     prof::setEnabled(false);
 }
 
-TEST(LaneScheduler, HostSpanHookReportsLaneSpansWhenProfiling)
-{
-    prof::setEnabled(true);
-    {
-        EventQueue eq;
-        LaneScheduler sched(eq, 2, 100, 1);
-        std::vector<unsigned> lanes_seen;
-        sched.setHostSpanHook(
-            [&](unsigned lane, std::uint64_t start_ns,
-                std::uint64_t end_ns) {
-                EXPECT_LE(start_ns, end_ns);
-                lanes_seen.push_back(lane);
-            });
-        eq.schedule(0, [&] { sched.post(1, 30, [] {}); });
-        sched.runUntil(300);
-        // Lane 0's phase-1 span fires every quantum; lane 1 appears
-        // for the quantum where its event ran.
-        EXPECT_GE(lanes_seen.size(), 3u);
-        EXPECT_NE(std::find(lanes_seen.begin(), lanes_seen.end(), 0u),
-                  lanes_seen.end());
-    }
-    prof::setEnabled(false);
-}
-
 /** Small 4-MC machine, cache-scaled down so tests stay fast. */
 SystemConfig
-lanedSystem(unsigned lanes)
+fourMcSystem()
 {
     SystemConfig sys;
     sys.numCores = 4;
     sys.numVms = 4;
     sys.numMcs = 4;
-    sys.lanes = lanes;
     sys.l1 = CacheConfig{"l1", 4 * 1024, 2, 2, 4};
     sys.l2 = CacheConfig{"l2", 16 * 1024, 4, 6, 8};
     sys.l3 = CacheConfig{"l3", 256 * 1024, 16, 20, 16};
     return sys;
 }
 
-ExperimentConfig
-tinyExperiment()
-{
-    ExperimentConfig cfg;
-    cfg.memScale = 0.04;
-    cfg.warmupPasses = 3;
-    cfg.settleTime = msToTicks(3);
-    cfg.targetQueries = 100;
-    cfg.minMeasure = msToTicks(20);
-    cfg.maxMeasure = msToTicks(40);
-    cfg.scaleCaches = false;
-    return cfg;
-}
-
-TEST(LaneSystem, ThreadCountNeverChangesExperimentResults)
-{
-    ExperimentConfig cfg = tinyExperiment();
-    ExperimentResult serial = runExperiment(
-        appByName("masstree"), DedupMode::PageForge, cfg,
-        lanedSystem(1));
-    ExperimentResult two = runExperiment(
-        appByName("masstree"), DedupMode::PageForge, cfg,
-        lanedSystem(2));
-    ExperimentResult four = runExperiment(
-        appByName("masstree"), DedupMode::PageForge, cfg,
-        lanedSystem(4));
-
-    // Guard against a degenerate run: the daemon must actually have
-    // scanned through the lanes during the window.
-    EXPECT_GT(serial.pfPagesScanned, 0u);
-    EXPECT_GT(serial.simEvents, 0u);
-    EXPECT_TRUE(identicalResults(serial, two));
-    EXPECT_TRUE(identicalResults(serial, four));
-}
-
 TEST(LaneSystem, SchedulerExistsOnlyOnMultiMcPageForgeMachines)
 {
-    SystemConfig multi = lanedSystem(4);
+    SystemConfig multi = fourMcSystem();
     multi.mode = DedupMode::PageForge;
     System with_lanes(multi, appByName("masstree"));
     ASSERT_NE(with_lanes.laneScheduler(), nullptr);
     EXPECT_EQ(with_lanes.laneScheduler()->numLanes(), 5u);
-    // The machine clamps phase-2 threads to the host's cores (<= 1
-    // selects the serial executor), so compute the expectation rather
-    // than hard-coding a core count.
-    unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    unsigned expect = std::min(4u, hw);
-    EXPECT_EQ(with_lanes.laneScheduler()->threads(),
-              expect > 1 ? expect : 0u);
+    EXPECT_EQ(with_lanes.laneScheduler()->threads(), 0u);
+    EXPECT_EQ(with_lanes.laneScheduler()->quantum(),
+              multi.pfDriver.osCheckInterval);
 
-    SystemConfig single = lanedSystem(4);
+    SystemConfig single = fourMcSystem();
     single.numMcs = 1;
     single.mode = DedupMode::PageForge;
     System classic(single, appByName("masstree"));
     EXPECT_EQ(classic.laneScheduler(), nullptr);
 
-    SystemConfig ksm = lanedSystem(4);
+    SystemConfig ksm = fourMcSystem();
     ksm.mode = DedupMode::Ksm;
     System no_modules(ksm, appByName("masstree"));
     EXPECT_EQ(no_modules.laneScheduler(), nullptr);
 }
 
-TEST(LaneSystem, FaultInjectionForcesSerialExecution)
-{
-    // MC read paths mutate frame state under fault injection, so the
-    // machine must pin phase 2 to one thread regardless of the knob.
-    SystemConfig sys = lanedSystem(4);
-    sys.mode = DedupMode::PageForge;
-    sys.faults.flipsPerGBSec = 50.0;
-
-    LogLevel before = logLevel();
-    setLogLevel(LogLevel::Inform);
-    ::testing::internal::CaptureStderr();
-    System system(sys, appByName("masstree"));
-    std::string err = ::testing::internal::GetCapturedStderr();
-    ASSERT_NE(system.laneScheduler(), nullptr);
-    EXPECT_EQ(system.laneScheduler()->threads(), 0u);
-
-    // The silent downgrade is not silent: when the knob actually asked
-    // for parallelism, the machine says why it is running serial.
-    if (std::max(1u, std::thread::hardware_concurrency()) > 1) {
-        EXPECT_NE(err.find("faults enabled"), std::string::npos);
-        EXPECT_NE(err.find("one thread"), std::string::npos);
-    }
-
-    // A fault-free machine has nothing to announce.
-    ::testing::internal::CaptureStderr();
-    SystemConfig clean = lanedSystem(4);
-    clean.mode = DedupMode::PageForge;
-    System quiet(clean, appByName("masstree"));
-    std::string clean_err = ::testing::internal::GetCapturedStderr();
-    setLogLevel(before);
-    EXPECT_EQ(clean_err.find("one thread"), std::string::npos);
-}
-
-TEST(LaneSystem, CampaignCellsIdenticalAcrossLaneCounts)
-{
-    // The campaign runner builds each cell's System in a worker
-    // thread; the lane pool must compose with that nesting and still
-    // reproduce the serial cells exactly (what CI's JSON diff checks
-    // at full scale).
-    auto run = [](unsigned lanes) {
-        CampaignSpec spec;
-        spec.apps = {"silo"};
-        spec.modes = {DedupMode::PageForge};
-        spec.jobs = 1;
-        spec.experiment = tinyExperiment();
-        spec.sysTemplate = lanedSystem(lanes);
-        return runCampaign(spec);
-    };
-    CampaignReport serial = run(1);
-    CampaignReport threaded = run(4);
-
-    ASSERT_EQ(serial.cells.size(), 1u);
-    ASSERT_EQ(threaded.cells.size(), 1u);
-    ASSERT_TRUE(serial.cells[0].ok);
-    ASSERT_TRUE(threaded.cells[0].ok);
-    EXPECT_TRUE(identicalResults(serial.cells[0].result,
-                                 threaded.cells[0].result));
-    EXPECT_EQ(serial.lanes, 1u);
-    EXPECT_EQ(threaded.lanes, 4u);
-}
-
 TEST(LaneSystem, ProfiledTraceCarriesHostLanesAndHandoffFlows)
 {
     // End-to-end: with the profiler armed, a traced multi-MC run must
-    // surface host-time lane tracks (pid 2), cross-MC handoff flow
-    // arrows, and nonzero executor telemetry.
+    // surface cross-MC handoff flow arrows and nonzero lane telemetry.
     prof::setEnabled(true);
     {
         std::ostringstream os;
         TraceSink sink(os);
-        SystemConfig sys = lanedSystem(2);
+        SystemConfig sys = fourMcSystem();
         sys.mode = DedupMode::PageForge;
         sys.memScale = 0.05;
         sys.traceSink = &sink;
@@ -540,11 +227,8 @@ TEST(LaneSystem, ProfiledTraceCarriesHostLanesAndHandoffFlows)
         system.finishObservability();
         sink.finish();
 
-        EXPECT_GT(sink.hostSpans(), 0u);
         EXPECT_GT(sink.flowEvents(), 0u);
-        std::string json = os.str();
-        EXPECT_NE(json.find("\"host-exec\""), std::string::npos);
-        EXPECT_NE(json.find("\"cat\":\"flow\""), std::string::npos);
+        EXPECT_NE(os.str().find("\"cat\":\"flow\""), std::string::npos);
 
         ASSERT_NE(system.laneScheduler(), nullptr);
         const ExecTelemetry &tel = system.laneScheduler()->telemetry();

@@ -50,6 +50,10 @@ class ProfTest : public ::testing::Test
                 return &s;
         return nullptr;
     }
+
+    // The result points into @p stats: a temporary would dangle.
+    static const prof::SiteStats *
+    find(std::vector<prof::SiteStats> &&stats, prof::Site site) = delete;
 };
 
 TEST_F(ProfTest, DisabledTimersRecordNothingAndAllocateNothing)
@@ -120,8 +124,8 @@ TEST_F(ProfTest, ReentrantSameSiteCountsEveryActivation)
             }
         }
     }
-    const prof::SiteStats *s =
-        find(prof::snapshot(), prof::Site::ScanTableWalk);
+    std::vector<prof::SiteStats> stats = prof::snapshot();
+    const prof::SiteStats *s = find(stats, prof::Site::ScanTableWalk);
     ASSERT_NE(s, nullptr);
     EXPECT_EQ(s->count, 3u);
 }
@@ -135,8 +139,8 @@ TEST_F(ProfTest, TimerArmedBeforeDisableStillRecords)
         // would undercount whatever region straddled the switch.
         prof::setEnabled(false);
     }
-    const prof::SiteStats *s =
-        find(prof::snapshot(), prof::Site::EccCompute);
+    std::vector<prof::SiteStats> stats = prof::snapshot();
+    const prof::SiteStats *s = find(stats, prof::Site::EccCompute);
     ASSERT_NE(s, nullptr);
     EXPECT_EQ(s->count, 1u);
 }
@@ -148,12 +152,12 @@ TEST_F(ProfTest, CrossThreadSamplesMergeInSnapshot)
     for (int t = 0; t < 4; ++t)
         pool.emplace_back([] {
             for (int i = 0; i < 250; ++i)
-                prof::recordNs(prof::Site::TraceFlush, 8);
+                prof::recordNs(prof::Site::ScanTableWalk, 8);
         });
     for (std::thread &worker : pool)
         worker.join();
-    const prof::SiteStats *s =
-        find(prof::snapshot(), prof::Site::TraceFlush);
+    std::vector<prof::SiteStats> stats = prof::snapshot();
+    const prof::SiteStats *s = find(stats, prof::Site::ScanTableWalk);
     ASSERT_NE(s, nullptr);
     EXPECT_EQ(s->count, 1000u);
     EXPECT_EQ(s->totalNs, 8000u);
@@ -163,8 +167,8 @@ TEST_F(ProfTest, QuantileSingleSampleIsThatSample)
 {
     prof::setEnabled(true);
     prof::recordNs(prof::Site::MetricsSample, 12345);
-    const prof::SiteStats *s =
-        find(prof::snapshot(), prof::Site::MetricsSample);
+    std::vector<prof::SiteStats> stats = prof::snapshot();
+    const prof::SiteStats *s = find(stats, prof::Site::MetricsSample);
     ASSERT_NE(s, nullptr);
     EXPECT_EQ(s->p50Ns, 12345u);
     EXPECT_EQ(s->p95Ns, 12345u);
@@ -175,8 +179,8 @@ TEST_F(ProfTest, QuantileZeroDurationSamples)
     prof::setEnabled(true);
     for (int i = 0; i < 10; ++i)
         prof::recordNs(prof::Site::EventDispatch, 0);
-    const prof::SiteStats *s =
-        find(prof::snapshot(), prof::Site::EventDispatch);
+    std::vector<prof::SiteStats> stats = prof::snapshot();
+    const prof::SiteStats *s = find(stats, prof::Site::EventDispatch);
     ASSERT_NE(s, nullptr);
     EXPECT_EQ(s->minNs, 0u);
     EXPECT_EQ(s->maxNs, 0u);
@@ -191,8 +195,8 @@ TEST_F(ProfTest, QuantilesAreClampedToObservedRange)
     // winning bucket must never leave [min, max].
     prof::recordNs(prof::Site::SimdCompare, 3);
     prof::recordNs(prof::Site::SimdCompare, 1u << 20);
-    const prof::SiteStats *s =
-        find(prof::snapshot(), prof::Site::SimdCompare);
+    std::vector<prof::SiteStats> stats = prof::snapshot();
+    const prof::SiteStats *s = find(stats, prof::Site::SimdCompare);
     ASSERT_NE(s, nullptr);
     EXPECT_GE(s->p50Ns, s->minNs);
     EXPECT_LE(s->p50Ns, s->maxNs);
@@ -209,8 +213,8 @@ TEST_F(ProfTest, QuantilesAreMonotonicAcrossSkewedLoad)
         prof::recordNs(prof::Site::ContentTreeSearch, 16);
     for (int i = 0; i < 5; ++i)
         prof::recordNs(prof::Site::ContentTreeSearch, 4096);
-    const prof::SiteStats *s =
-        find(prof::snapshot(), prof::Site::ContentTreeSearch);
+    std::vector<prof::SiteStats> stats = prof::snapshot();
+    const prof::SiteStats *s = find(stats, prof::Site::ContentTreeSearch);
     ASSERT_NE(s, nullptr);
     EXPECT_EQ(s->count, 100u);
     EXPECT_LE(s->p50Ns, 31u); // inside the 16..31 bucket

@@ -255,27 +255,6 @@ TEST(TraceSink, FlowEventsRespectComponentFilter)
     EXPECT_EQ(os.str().find("\"cat\":\"flow\""), std::string::npos);
 }
 
-TEST(TraceSink, HostLaneTracksLiveOnPidTwo)
-{
-    std::ostringstream os;
-    TraceSink sink(os);
-    sink.registerHostLanes(3);
-    sink.emitHostLaneSpan(0, 1000, 2500, "phase1");
-    sink.emitHostLaneSpan(2, 2000, 9000, "phase2");
-    // A lane beyond the registered count is a bug upstream; the sink
-    // drops it rather than inventing a track.
-    sink.emitHostLaneSpan(7, 0, 1, "bogus");
-    sink.finish();
-
-    std::string json = os.str();
-    EXPECT_NE(json.find("\"host-exec\""), std::string::npos);
-    EXPECT_NE(json.find("\"lane0\""), std::string::npos);
-    EXPECT_NE(json.find("\"lane2\""), std::string::npos);
-    EXPECT_NE(json.find("\"pid\":2"), std::string::npos);
-    EXPECT_EQ(json.find("\"bogus\""), std::string::npos);
-    EXPECT_EQ(sink.hostSpans(), 2u);
-}
-
 TEST(MetricsSampler, FinishCapturesFinalPartialEpoch)
 {
     EventQueue eq;

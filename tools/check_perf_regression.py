@@ -4,29 +4,38 @@
 Usage: check_perf_regression.py CURRENT.json BASELINE.json [--tolerance=0.10]
 
 Either file holds one report object or a list of them. Reports are
-matched by machine configuration — the (num_mcs, lanes) pair, so the
-serial classic machine gates against the serial baseline and the
-multi-controller lane runtime against the parallel baseline. Schema
-v2 records both fields; legacy v1 reports (which predate the knobs)
-are accepted and read as the (1, 1) machine.
+matched like with like on the (num_mcs, jobs) pair: campaign wall time
+at --jobs=4 says nothing about a per-core regression measured against
+a --jobs=1 baseline. Legacy v1 reports (no num_mcs) are read as the
+1-MC machine; legacy v2 reports carry a "lanes" field from the removed
+threaded lane executor and are read as serial runs.
 
-A matched pair fails (exit 1) when the fresh report's aggregate
-events/sec fall more than the tolerance below the baseline's. The
-committed baseline was measured on a dedicated box; CI runners are
-shared and slower in absolute terms, so the gate can be widened for CI
-with PF_PERF_TOLERANCE (a fraction, e.g. 0.5) without touching the
-script. A current report whose configuration has no baseline entry is
-an error (exit 2): commit a baseline before gating on it.
+The gated metric is the campaign's wall_seconds (lower is better). A
+matched pair fails (exit 1) when the fresh report runs more than the
+tolerance slower than the baseline. Events/sec is printed for
+information only: one event can cost 86 ns or 16 ms of host time, so
+the rate moves with the event mix, not with speed. The committed
+baseline was measured on a dedicated box; CI runners are shared and
+differ in absolute speed, so the gate can be widened for CI with
+PF_PERF_TOLERANCE (a fraction, e.g. 0.5) without touching the script.
 
-Any cell failure in the fresh report is a hard failure regardless of
-speed: a cell that crashed produces no events to count.
+A current report with no baseline entry for its (num_mcs, jobs) pair,
+or whose (app, mode, seed) cells differ from the baseline's, is an
+error (exit 2): the two runs are not comparable. Any cell failure in
+the fresh report is a hard failure (exit 1) regardless of speed.
 """
 
 import json
 import os
 import sys
 
-SCHEMAS = ("pageforge-simspeed-v1", "pageforge-simspeed-v2")
+SCHEMAS = ("pageforge-simspeed-v1", "pageforge-simspeed-v2",
+           "pageforge-simspeed-v3")
+
+
+def fail_usage(message):
+    print(f"check_perf_regression: {message}", file=sys.stderr)
+    sys.exit(2)
 
 
 def load_reports(path):
@@ -34,54 +43,54 @@ def load_reports(path):
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, ValueError) as err:
-        print(f"check_perf_regression: cannot read {path}: {err}",
-              file=sys.stderr)
-        sys.exit(2)
+        fail_usage(f"cannot read {path}: {err}")
     reports = data if isinstance(data, list) else [data]
     for report in reports:
         if report.get("schema") not in SCHEMAS:
-            print(f"check_perf_regression: {path} has unexpected "
-                  f"schema {report.get('schema')!r}", file=sys.stderr)
-            sys.exit(2)
+            fail_usage(f"{path} has unexpected schema "
+                       f"{report.get('schema')!r}")
     return reports
 
 
 def config_key(report):
-    return (report.get("num_mcs", 1), report.get("lanes", 1))
+    return (report.get("num_mcs", 1), report.get("jobs", 1))
+
+
+def cell_key(cell):
+    return (cell["app"], cell["mode"], cell.get("seed"))
 
 
 def check_pair(current, baseline, tolerance):
-    num_mcs, lanes = config_key(current)
-    label = f"[num_mcs={num_mcs} lanes={lanes}]"
+    num_mcs, jobs = config_key(current)
+    label = f"[num_mcs={num_mcs} jobs={jobs}]"
 
     if current.get("failures", 0):
         print(f"FAIL {label}: {current['failures']} cell(s) failed in "
               "the current run")
         return False
 
-    cur = current["events_per_sec"]
-    base = baseline["events_per_sec"]
-    floor = base * (1.0 - tolerance)
-    ratio = cur / base if base else float("inf")
-    ok = cur >= floor
+    cur = current["wall_seconds"]
+    base = baseline["wall_seconds"]
+    ceiling = base * (1.0 + tolerance)
+    ok = cur <= ceiling
     verdict = "OK" if ok else "FAIL"
-    print(f"{verdict} {label}: {cur:,.0f} events/s vs baseline "
-          f"{base:,.0f} ({ratio:.2%}, floor {floor:,.0f} at tolerance "
+    print(f"{verdict} {label}: {cur:.2f} s wall vs baseline {base:.2f} s "
+          f"({cur / base:.2%}, ceiling {ceiling:.2f} s at tolerance "
           f"{tolerance:.0%})")
+    if current.get("events_per_sec") and baseline.get("events_per_sec"):
+        print(f"  info: {current['events_per_sec']:,.0f} events/s vs "
+              f"baseline {baseline['events_per_sec']:,.0f}")
 
-    # Per-cell breakdown for the artifact log: regressions rarely hit
+    # Per-cell host time for the artifact log: regressions rarely hit
     # every cell equally, and the slowest cell names the culprit.
-    base_cells = {(c["app"], c["mode"], c.get("seed")): c
-                  for c in baseline.get("cells", [])}
+    base_cells = {cell_key(c): c for c in baseline.get("cells", [])}
     for cell in current.get("cells", []):
-        key = (cell["app"], cell["mode"], cell.get("seed"))
-        ref = base_cells.get(key)
-        if not ref or not ref.get("events_per_sec"):
+        ref = base_cells.get(cell_key(cell))
+        if not ref or not ref.get("host_ms") or "host_ms" not in cell:
             continue
-        cell_ratio = cell["events_per_sec"] / ref["events_per_sec"]
         print(f"  {cell['app']:>10s}/{cell['mode']:<9s} "
-              f"{cell['events_per_sec']:>12,.0f} ev/s  "
-              f"({cell_ratio:.2%} of baseline)")
+              f"{cell['host_ms']:>10,.1f} ms  "
+              f"({cell['host_ms'] / ref['host_ms']:.2%} of baseline)")
     return ok
 
 
@@ -102,13 +111,16 @@ def main(argv):
 
     ok = True
     for current in currents:
-        baseline = baselines.get(config_key(current))
+        num_mcs, jobs = config_key(current)
+        baseline = baselines.get((num_mcs, jobs))
         if baseline is None:
-            num_mcs, lanes = config_key(current)
-            print(f"check_perf_regression: no baseline entry for "
-                  f"num_mcs={num_mcs} lanes={lanes} in {paths[1]}",
-                  file=sys.stderr)
-            sys.exit(2)
+            fail_usage(f"no baseline entry for num_mcs={num_mcs} "
+                       f"jobs={jobs} in {paths[1]}")
+        cur_cells = sorted(cell_key(c) for c in current.get("cells", []))
+        base_cells = sorted(cell_key(c) for c in baseline.get("cells", []))
+        if cur_cells != base_cells:
+            fail_usage(f"num_mcs={num_mcs} jobs={jobs}: the current "
+                       f"report's cells differ from {paths[1]}'s")
         ok &= check_pair(current, baseline, tolerance)
 
     sys.exit(0 if ok else 1)

@@ -52,7 +52,6 @@ struct Options
     unsigned warmupPasses = 6;
     std::uint64_t seed = 42;
     unsigned numMcs = 1;
-    unsigned lanes = 1; //!< phase-2 lane threads (needs --num-mcs > 1)
     unsigned vms = 0;  //!< 0 = Table 2 default fleet (10 VMs)
     bool dumpStats = false;
     bool forceScalar = false;
@@ -115,10 +114,6 @@ usage(const char *prog)
            "(default 1);\n"
         << "                      frames interleave frame %% N, one\n"
         << "                      PageForge module per controller\n"
-        << "  --lanes=N           threads for the per-MC event lanes\n"
-        << "                      (default 1 = serial; PF_LANES env\n"
-        << "                      also sets it). Needs --num-mcs > 1;\n"
-        << "                      results are identical at any N\n"
         << "  --vms=N             fleet size: N VMs on N cores\n"
         << "                      (default: the paper's 10)\n"
         << "  --placement=P       ksmd placement: sticky|rr|random|pinned\n"
@@ -152,10 +147,9 @@ usage(const char *prog)
         << "                      lifecycle, fault\n"
         << "  --profile[=FILE]    enable the host-time self-profiler:\n"
         << "                      per-component wall-clock histograms\n"
-        << "                      (table to stdout or FILE), executor\n"
-        << "                      lane telemetry, host-time lane tracks\n"
-        << "                      in the trace, and a \"profile\" key\n"
-        << "                      in campaign JSON\n"
+        << "                      (table to stdout or FILE), lane\n"
+        << "                      scheduler telemetry, and a \"profile\"\n"
+        << "                      key in campaign JSON\n"
         << "  --metrics-interval=T  sample metrics every T ticks (also\n"
         << "                      applies per cell in campaign mode)\n"
         << "  --metrics-csv=FILE  write the sampled series as CSV\n"
@@ -179,14 +173,6 @@ Options
 parse(int argc, char **argv)
 {
     Options opts;
-    // PF_LANES mirrors --lanes (like PF_FORCE_SCALAR for --force-scalar)
-    // so CI matrices can vary the thread count without editing argv; an
-    // explicit --lanes= wins.
-    if (const char *env = std::getenv("PF_LANES")) {
-        unsigned lanes = static_cast<unsigned>(std::atoi(env));
-        if (lanes > 0)
-            opts.lanes = lanes;
-    }
     bool fault_seed_set = false;
     std::uint64_t fault_seed = 0;
     for (int i = 1; i < argc; ++i) {
@@ -221,10 +207,6 @@ parse(int argc, char **argv)
         } else if (const char *v = value("--num-mcs=")) {
             opts.numMcs = static_cast<unsigned>(std::atoi(v));
             if (opts.numMcs == 0)
-                usage(argv[0]);
-        } else if (const char *v = value("--lanes=")) {
-            opts.lanes = static_cast<unsigned>(std::atoi(v));
-            if (opts.lanes == 0)
                 usage(argv[0]);
         } else if (const char *v = value("--vms=")) {
             opts.vms = static_cast<unsigned>(std::atoi(v));
@@ -377,7 +359,6 @@ runCampaignMode(const Options &opts)
                      "(per-cell metrics still recorded)\n";
     spec.sysTemplate.ksmPlacement = opts.placement;
     spec.sysTemplate.numMcs = opts.numMcs;
-    spec.sysTemplate.lanes = opts.lanes;
     if (opts.vms) {
         spec.sysTemplate.numCores = opts.vms;
         spec.sysTemplate.numVms = opts.vms;
@@ -467,7 +448,7 @@ main(int argc, char **argv)
     if (opts.forceScalar)
         simd::setLevel(simd::Level::Scalar);
     // Arm the profiler before any system exists so construction-time
-    // wiring (host-lane tracks, executor telemetry) sees it enabled.
+    // wiring (lane-scheduler telemetry) sees it enabled.
     if (opts.profile)
         prof::setEnabled(true);
 
@@ -503,7 +484,6 @@ main(int argc, char **argv)
     config.memScale = opts.scale;
     config.seed = opts.seed;
     config.numMcs = opts.numMcs;
-    config.lanes = opts.lanes;
     if (opts.vms) {
         config.numCores = opts.vms;
         config.numVms = opts.vms;
@@ -554,8 +534,8 @@ main(int argc, char **argv)
     Tick window = msToTicks(opts.windowMs);
     Tick start = system.eventq().curTick();
     system.run(window);
-    // Final partial metrics epoch + lane-buffer drain, before the
-    // sink finishes or the series is read.
+    // Final partial metrics epoch, before the sink finishes or the
+    // series is read.
     system.finishObservability();
 
     // ---- report ----

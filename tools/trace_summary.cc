@@ -5,9 +5,9 @@
  *   trace_summary FILE [--min-tracks=N] [--json]
  *
  * Reads a Chrome trace-event JSON file written by `pfsim --trace` and
- * prints one row per track — a (pid, tid) pair, so the simulated-time
- * tracks (pid 1) and the host-time executor lanes (pid 2) stay
- * distinct — with its name and event counts by phase, plus a
+ * prints one row per track — a (pid, tid) pair, so tracks of traces
+ * from other writers with several processes stay distinct — with its
+ * name and event counts by phase, plus a
  * min/mean/max aggregation of every counter series on the track.
  * Flow events (ph s/f/t) are counted separately so CI can assert a
  * trace contains cross-MC handoff arrows. With --json the same
