@@ -35,6 +35,7 @@ struct GoldenShape
 {
     unsigned numMcs = 1;
     bool churn = false; //!< Poisson VM churn during the window
+    FaultConfig faults{}; //!< fault injection during the run
 };
 
 /** Small fixed cell: full pipeline, sub-second runtime. */
@@ -57,6 +58,7 @@ runGoldenCell(DedupMode mode, GoldenShape shape = {})
         cfg.churn.departuresPerSec = 400.0;
         cfg.churn.maxDynamicVms = 4;
     }
+    cfg.faults = shape.faults;
 
     SystemConfig sys;
     sys.numCores = 2;
@@ -159,6 +161,36 @@ TEST(GoldenStats, FourMcChurnCellMatchesGoldenSnapshot)
     EXPECT_EQ(r.perMc[1].handoffsIn, 362u);
     EXPECT_EQ(r.perMc[2].handoffsIn, 242u);
     EXPECT_EQ(r.perMc[3].handoffsIn, 231u);
+}
+
+TEST(GoldenStats, FaultedPageForgeCellMatchesGoldenSnapshot)
+{
+    // DRAM bit flips plus guest writes racing merge commits on the
+    // 1-MC machine: the ECC, poisoning and merge-abort paths, checked
+    // by the oracle. Churn keeps merges committing inside the window,
+    // so the race class has commits to hit.
+    FaultConfig faults;
+    faults.flipsPerGBSec = 2e5;
+    faults.doubleBitFraction = 0.3;
+    faults.mergeRaceProb = 0.2;
+    faults.seed = 7;
+    ExperimentResult r = runGoldenCell(DedupMode::PageForge,
+                                       {.churn = true, .faults = faults});
+    EXPECT_EQ(r.queries, 69u);
+    EXPECT_EQ(r.merges, 21u);
+    EXPECT_EQ(r.cowBreaks, 140u);
+    EXPECT_EQ(r.dup.framesUsed, 218u);
+    EXPECT_EQ(r.simEvents, 3088u);
+    EXPECT_EQ(r.pfPagesScanned, 515u);
+    EXPECT_EQ(r.faults.flipEvents, 85u);
+    EXPECT_EQ(r.faults.doubleBitFlips, 20u);
+    EXPECT_EQ(r.faults.correctedErrors, 26u);
+    EXPECT_EQ(r.faults.uncorrectableErrors, 11u);
+    EXPECT_EQ(r.faults.poisonedFrames, 10u);
+    EXPECT_EQ(r.faults.raceWrites, 2u);
+    EXPECT_EQ(r.faults.mergeAborts, 2u);
+    EXPECT_EQ(r.faults.oracleChecks, 65u);
+    EXPECT_EQ(r.faults.oracleViolations, 0u);
 }
 
 } // namespace
