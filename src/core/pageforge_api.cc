@@ -8,15 +8,6 @@ PageForgeApi::PageForgeApi(PageForgeModule &module) : _module(module)
 }
 
 void
-PageForgeApi::fireTrigger()
-{
-    if (_poster)
-        _poster();
-    else
-        _module.trigger();
-}
-
-void
 PageForgeApi::insertPpn(unsigned index, FrameId ppn, ScanIndex less,
                         ScanIndex more)
 {
@@ -31,7 +22,7 @@ PageForgeApi::insertPfe(FrameId ppn, bool last_refill, ScanIndex ptr)
     _module.table().setPfe(ppn, last_refill, ptr);
     _module.beginCandidate();
     if (!_synchronous)
-        fireTrigger();
+        _module.trigger();
 }
 
 void
@@ -40,7 +31,7 @@ PageForgeApi::updatePfe(bool last_refill, ScanIndex ptr)
     ++_calls;
     _module.table().updatePfe(last_refill, ptr);
     if (!_synchronous)
-        fireTrigger();
+        _module.trigger();
 }
 
 PfeInfo

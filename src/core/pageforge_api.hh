@@ -11,9 +11,6 @@
 #ifndef PF_CORE_PAGEFORGE_API_HH
 #define PF_CORE_PAGEFORGE_API_HH
 
-#include <functional>
-#include <utility>
-
 #include "core/pageforge_module.hh"
 
 namespace pageforge
@@ -74,31 +71,15 @@ class PageForgeApi
     void setSynchronous(bool sync) { _synchronous = sync; }
     bool synchronous() const { return _synchronous; }
 
-    /**
-     * Route the self-trigger somewhere other than a direct
-     * module.trigger() call. A multi-lane machine posts it to the
-     * module's shard lane, so the table walk runs there while the
-     * driver continues on lane 0. The table and hash-accumulator
-     * writes of insert_PFE/update_PFE still happen in the caller —
-     * only the walk itself moves.
-     */
-    void setTriggerPoster(std::function<void()> poster)
-    {
-        _poster = std::move(poster);
-    }
-
     /** API calls made so far (drives driver-overhead accounting). */
     std::uint64_t calls() const { return _calls.value(); }
 
     PageForgeModule &module() { return _module; }
 
   private:
-    void fireTrigger();
-
     PageForgeModule &_module;
     Counter _calls;
     bool _synchronous = false;
-    std::function<void()> _poster;
 };
 
 } // namespace pageforge

@@ -18,10 +18,9 @@
  * module, and owns its shard's trees. A candidate whose content key
  * homes on a remote shard is handed to that shard's pipeline through
  * the CrossMcRouter and processed there, so every Scan Table has
- * exactly one driver. All pipeline logic runs on lane 0 (the driver is
- * OS software); only the hardware table walks execute on the per-MC
- * event lanes (see sim/lane_scheduler.hh). A single-MC machine builds
- * one pipeline and behaves bit-identically to the pre-lane driver.
+ * exactly one driver. Every pipeline, module and core shares the
+ * machine's one event queue, so a multi-MC machine runs the same code
+ * as a single-MC one; a single-MC machine simply builds one pipeline.
  *
  * CPU cost is limited to the API calls and tree bookkeeping, charged
  * to a rotating core — the "modest hypervisor involvement" of the
@@ -267,10 +266,10 @@ class PageForgeDriver : public SimObject
     /**
      * One shard's scan pipeline: the per-candidate state machine plus
      * its slice of the scan list. A single-MC driver has exactly one;
-     * a multi-MC driver runs one per shard, interleaved on lane 0 so
-     * their tree and hypervisor mutations stay serialized and
-     * deterministic while their hardware walks overlap on the shard
-     * lanes.
+     * a multi-MC driver runs one per shard, interleaved on the event
+     * queue so their tree and hypervisor mutations stay serialized
+     * and deterministic while their hardware walks overlap in
+     * simulated time.
      */
     struct Pipeline
     {

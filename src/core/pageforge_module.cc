@@ -58,38 +58,26 @@ PageForgeModule::fetchLine(FrameId frame, std::uint32_t line_idx,
     // happens (and is counted) either way.
     bool need_ecc = snatch_ecc && _hashAcc.wants(line_idx);
 
+    // Issue to the on-chip network first (Section 3.2.2). On a miss
+    // the line is read through the controller that homes the frame:
+    // with several MCs a remote compare's traffic lands on the owning
+    // channel, not on the scanning module's own controller.
     Tick done;
     LineEccCode ecc;
-    if (_localChannel) {
-        // Lane mode: every line streams through this module's own
-        // controller, with no on-chip snoop — the walk must not touch
-        // the bus or the caches while the cores run on another lane.
-        McReadResult rr =
-            _mc.readLine(addr, now, Requester::PageForge, need_ecc);
+    SnoopResult snoop = _hierarchy.snoopForMc(addr, now);
+    MemController &mc = _hierarchy.mcFor(addr);
+    if (snoop.hit) {
+        ++_snoopHits;
+        // The response passes through the memory controller, whose
+        // ECC circuitry generates the line's code (Section 3.3.2).
+        ecc = mc.encodeLine(addr, need_ecc);
+        done = snoop.done;
+    } else {
+        McReadResult rr = mc.readLine(addr, snoop.done,
+                                      Requester::PageForge, need_ecc);
         ++_dramReads;
         ecc = rr.ecc;
         done = rr.done;
-    } else {
-        // Issue to the on-chip network first (Section 3.2.2). On a
-        // miss the line is read through the controller that homes the
-        // frame: with several MCs a remote compare's traffic lands on
-        // the owning channel, not on the scanning module's own
-        // controller.
-        SnoopResult snoop = _hierarchy.snoopForMc(addr, now);
-        MemController &mc = _hierarchy.mcFor(addr);
-        if (snoop.hit) {
-            ++_snoopHits;
-            // The response passes through the memory controller, whose
-            // ECC circuitry generates the line's code (Section 3.3.2).
-            ecc = mc.encodeLine(addr, need_ecc);
-            done = snoop.done;
-        } else {
-            McReadResult rr = mc.readLine(addr, snoop.done,
-                                          Requester::PageForge, need_ecc);
-            ++_dramReads;
-            ecc = rr.ecc;
-            done = rr.done;
-        }
     }
 
     if (need_ecc)

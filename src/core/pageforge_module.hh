@@ -79,17 +79,6 @@ class PageForgeModule : public SimObject
     void setEccOffsets(const EccOffsets &offsets);
 
     /**
-     * Lane mode for multi-MC machines: stream every line through this
-     * module's own controller and skip the on-chip snoop. The module
-     * then touches nothing outside its MC while walking the table, so
-     * the walk can run on the shard's event lane while the cores run
-     * elsewhere (see sim/lane_scheduler.hh). Trades snoop hits for
-     * DRAM reads — the near-memory design point of Section 3.5.
-     */
-    void setLocalChannelMode(bool on) { _localChannel = on; }
-    bool localChannelMode() const { return _localChannel; }
-
-    /**
      * Fault hook: wedge the module. A wedged module stops making Scan
      * Table progress — a pending batch's completion never applies, a
      * later trigger() raises Busy and then does nothing — until a
@@ -146,7 +135,6 @@ class PageForgeModule : public SimObject
     ScanTable _table;
     EccHashAccumulator _hashAcc;
     bool _busy = false;
-    bool _localChannel = false;
     bool _wedged = false;
     std::uint64_t _resetEpoch = 0;
     std::uint64_t _completions = 0; //!< applied batch results

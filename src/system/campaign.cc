@@ -475,32 +475,6 @@ jsonResult(std::ostream &os, const ExperimentResult &r)
         }
         os << "]";
     }
-    // Lane-scheduler host telemetry; only present on profiling runs
-    // (host wall-clock, excluded from identicalResults like
-    // hostSeconds).
-    if (r.exec.enabled) {
-        const ExecSummary &e = r.exec;
-        os << ",\"exec\":{\"quanta\":" << e.quanta
-           << ",\"phase1_ns\":" << e.phase1Ns
-           << ",\"drain_ns\":" << e.drainNs
-           << ",\"phase2_ns\":" << e.phase2Ns
-           << ",\"mailbox_hwm\":" << e.mailboxHwm;
-        os << ",\"phase2_efficiency\":";
-        jsonDouble(os, e.phase2Efficiency);
-        os << ",\"lanes\":[";
-        for (std::size_t l = 0; l < e.lanes.size(); ++l) {
-            const LaneExecStats &lane = e.lanes[l];
-            if (l)
-                os << ",";
-            os << "{\"busy_ns\":" << lane.busyNs
-               << ",\"idle_ns\":" << lane.idleNs
-               << ",\"stall_ns\":" << lane.stallNs << "}";
-        }
-        os << "],\"worker_busy_ns\":[";
-        for (std::size_t w = 0; w < e.workerBusyNs.size(); ++w)
-            os << (w ? "," : "") << e.workerBusyNs[w];
-        os << "]}";
-    }
     // Only present when the cell sampled metrics, so default-config
     // campaign JSON stays byte-identical to earlier versions.
     if (!r.metrics.empty()) {

@@ -6,7 +6,6 @@
 
 #include "fault/fault_injector.hh"
 #include "fault/merge_oracle.hh"
-#include "prof/profiler.hh"
 #include "shard/cross_mc_router.hh"
 #include "shard/shard_map.hh"
 #include "sim/logging.hh"
@@ -313,21 +312,6 @@ runExperiment(const AppProfile &app, DedupMode mode,
             if (ModuleWatchdog *dog = system.watchdog())
                 mc.wedges = dog->wedgesOn(m);
             result.perMc.push_back(mc);
-        }
-    }
-
-    if (const LaneScheduler *sched = system.laneScheduler()) {
-        const ExecTelemetry &tel = sched->telemetry();
-        if (prof::enabled() && tel.quanta > 0) {
-            result.exec.enabled = true;
-            result.exec.quanta = tel.quanta;
-            result.exec.phase1Ns = tel.phase1Ns;
-            result.exec.drainNs = tel.drainNs;
-            result.exec.phase2Ns = tel.phase2Ns;
-            result.exec.mailboxHwm = tel.mailboxHwm;
-            result.exec.phase2Efficiency = tel.phase2Efficiency();
-            result.exec.lanes = tel.lanes;
-            result.exec.workerBusyNs = tel.workerBusyNs;
         }
     }
 

@@ -197,11 +197,8 @@ struct McSummary
 };
 
 /**
- * Host-time telemetry of the lane scheduler, captured only when
- * profiling was enabled for the run. Host wall-clock, like
- * hostSeconds: excluded from identicalResults(). The field set is
- * kept as is because the host-time benchmark under hostbench/ reads
- * it.
+ * Lane-executor telemetry; nothing fills it any more. Kept only for
+ * hostbench/; delete with its reads in a benchmark-archetype PR.
  */
 struct ExecSummary
 {
@@ -287,8 +284,7 @@ struct ExperimentResult
     unsigned numMcs = 1;
     std::vector<McSummary> perMc;
 
-    // Lane-scheduler host telemetry (profiling runs only; read by the
-    // host-time benchmark).
+    // Always empty; kept only for hostbench/ (see ExecSummary).
     ExecSummary exec;
 
     /**

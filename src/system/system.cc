@@ -84,36 +84,12 @@ System::System(const SystemConfig &config, const AppProfile &app)
         // One module + Scan Table per controller; the driver owns one
         // content-tree shard per module and routes each candidate to
         // the shard owning its content-key prefix.
-        //
-        // With several controllers the machine also gets per-MC event
-        // lanes: lane 0 (the primary queue) runs cores, the hypervisor,
-        // and the whole driver; lane m+1 runs module m's table walks.
-        // The driver's insert/update_PFE self-trigger is re-routed to
-        // the module's lane, and each module reads lines through its
-        // own channel only (local-channel mode), so phase 2 of a
-        // quantum touches no shared state.
-        if (_config.numMcs > 1) {
-            _laneSched = std::make_unique<LaneScheduler>(
-                _eq, _config.numMcs, _config.pfDriver.osCheckInterval);
-        }
         for (unsigned m = 0; m < _config.numMcs; ++m) {
-            EventQueue &mod_eq =
-                _laneSched ? _laneSched->lane(m + 1) : _eq;
             _pfModules.push_back(std::make_unique<PageForgeModule>(
-                "mc" + std::to_string(m) + ".pageforge", mod_eq,
-                *_mcs[m], *_hierarchy, _config.pfModule));
+                "mc" + std::to_string(m) + ".pageforge", _eq, *_mcs[m],
+                *_hierarchy, _config.pfModule));
             _pfApis.push_back(
                 std::make_unique<PageForgeApi>(*_pfModules[m]));
-            if (_laneSched) {
-                PageForgeModule *mod = _pfModules[m].get();
-                LaneScheduler *sched = _laneSched.get();
-                unsigned lane = m + 1;
-                mod->setLocalChannelMode(true);
-                _pfApis[m]->setTriggerPoster([this, mod, sched, lane] {
-                    sched->post(lane, _eq.curTick(),
-                                [mod] { mod->trigger(); });
-                });
-            }
         }
         _pfDriver = std::make_unique<PageForgeDriver>(
             "pf_driver", _eq, *_hyper, *_pfApis[0], core_ptrs,
@@ -354,7 +330,7 @@ System::setupObservability()
     }
 
     // Per-MC series, each on its own named Perfetto track so a
-    // multi-channel run shows one lane per controller. Gated on
+    // multi-channel run shows one track per controller. Gated on
     // numMcs > 1: the classic machine's trace is unchanged.
     if (_config.numMcs > 1 && _pfDriver) {
         for (unsigned m = 0; m < _config.numMcs; ++m) {
@@ -573,10 +549,7 @@ System::scheduleAudit()
 void
 System::run(Tick duration)
 {
-    if (_laneSched)
-        _laneSched->runUntil(_eq.curTick() + duration);
-    else
-        _eq.runUntil(_eq.curTick() + duration);
+    _eq.runUntil(_eq.curTick() + duration);
 }
 
 void

@@ -60,14 +60,13 @@ class System : public VmHost
     /** Start query generation, churn, and the dedup daemon. */
     void startLoad();
 
-    /** Advance simulated time (through the lane scheduler if present). */
+    /** Advance simulated time. */
     void run(Tick duration);
 
-    /** Events dispatched across every lane (== eventq() at 1 MC). */
+    /** Events dispatched so far (every component runs on eventq()). */
     std::uint64_t eventsDispatched() const
     {
-        return _laneSched ? _laneSched->eventsDispatched()
-                          : _eq.eventsDispatched();
+        return _eq.eventsDispatched();
     }
 
     /** Reset all measurement statistics (start of the window). */
@@ -133,11 +132,11 @@ class System : public VmHost
     CrossMcRouter *crossMcRouter() { return _router.get(); }
 
     /**
-     * Null unless the machine runs per-MC event lanes (PageForge mode
-     * with numMcs > 1; see sim/lane_scheduler.hh). The host-time
-     * benchmark reads its telemetry through this accessor.
+     * Always null: every machine shape runs on eventq(). Kept only
+     * for hostbench/; delete with its reads in a benchmark-archetype
+     * PR.
      */
-    LaneScheduler *laneScheduler() { return _laneSched.get(); }
+    LaneScheduler *laneScheduler() { return nullptr; }
 
     /** Null unless fault injection is configured. */
     FaultInjector *faultInjector() { return _faults.get(); }
@@ -166,7 +165,6 @@ class System : public VmHost
 
     EventQueue _eq;
     Rng _rng;
-    std::unique_ptr<LaneScheduler> _laneSched;
 
     std::unique_ptr<PhysicalMemory> _mem;
     std::vector<std::unique_ptr<MemController>> _mcs;

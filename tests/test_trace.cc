@@ -379,6 +379,35 @@ TEST(SystemTrace, AllComponentTracksReceiveEvents)
     EXPECT_GE(series.names.size(), 5u);
 }
 
+TEST(SystemTrace, FourMcRunDrawsCrossMcHandoffFlowArrows)
+{
+    // A traced multi-MC run must show each cross-MC candidate handoff
+    // as a flow arrow from the sending shard to the receiving one.
+    std::ostringstream os;
+    TraceSink sink(os);
+    SystemConfig config;
+    config.mode = DedupMode::PageForge;
+    config.numCores = 4;
+    config.numVms = 4;
+    config.numMcs = 4;
+    config.memScale = 0.05;
+    config.l1 = CacheConfig{"l1", 4 * 1024, 2, 2, 4};
+    config.l2 = CacheConfig{"l2", 16 * 1024, 4, 6, 8};
+    config.l3 = CacheConfig{"l3", 256 * 1024, 16, 20, 16};
+    config.traceSink = &sink;
+
+    System system(config, appByName("masstree"));
+    system.deploy();
+    system.warmupDedup(3);
+    system.startLoad();
+    system.run(msToTicks(30));
+    system.finishObservability();
+    sink.finish();
+
+    EXPECT_GT(sink.flowEvents(), 0u);
+    EXPECT_NE(os.str().find("\"cat\":\"flow\""), std::string::npos);
+}
+
 // ---------------------------------------------------------------------
 // The observability contract: metrics sampling must not change any
 // simulated outcome.

@@ -147,9 +147,8 @@ usage(const char *prog)
         << "                      lifecycle, fault\n"
         << "  --profile[=FILE]    enable the host-time self-profiler:\n"
         << "                      per-component wall-clock histograms\n"
-        << "                      (table to stdout or FILE), lane\n"
-        << "                      scheduler telemetry, and a \"profile\"\n"
-        << "                      key in campaign JSON\n"
+        << "                      (table to stdout or FILE) and a\n"
+        << "                      \"profile\" key in campaign JSON\n"
         << "  --metrics-interval=T  sample metrics every T ticks (also\n"
         << "                      applies per cell in campaign mode)\n"
         << "  --metrics-csv=FILE  write the sampled series as CSV\n"
@@ -447,8 +446,8 @@ main(int argc, char **argv)
 
     if (opts.forceScalar)
         simd::setLevel(simd::Level::Scalar);
-    // Arm the profiler before any system exists so construction-time
-    // wiring (lane-scheduler telemetry) sees it enabled.
+    // Arm the profiler before any system exists, so setup and warm-up
+    // are timed too.
     if (opts.profile)
         prof::setEnabled(true);
 
@@ -772,32 +771,6 @@ main(int argc, char **argv)
                   << " cross_mc_checks="
                   << (oracle ? oracle->crossMcChecks() : 0)
                   << " oracle_violations=" << oracle_violations << "\n";
-    }
-
-    if (LaneScheduler *sched = system.laneScheduler()) {
-        const ExecTelemetry &tel = sched->telemetry();
-        // Greppable executor-telemetry lines for CI smoke checks;
-        // quanta == 0 means the profiler was off (nothing recorded).
-        if (prof::enabled() && tel.quanta > 0) {
-            std::cout << "pfsim: exec telemetry: quanta=" << tel.quanta
-                      << " phase1_ns=" << tel.phase1Ns
-                      << " drain_ns=" << tel.drainNs
-                      << " phase2_ns=" << tel.phase2Ns
-                      << " mailbox_hwm=" << tel.mailboxHwm
-                      << " phase2_efficiency="
-                      << TablePrinter::fmt(tel.phase2Efficiency(), 3)
-                      << "\n";
-            for (std::size_t l = 0; l < tel.lanes.size(); ++l) {
-                const LaneExecStats &lane = tel.lanes[l];
-                std::cout << "pfsim: lane" << l
-                          << ": busy_ns=" << lane.busyNs
-                          << " idle_ns=" << lane.idleNs
-                          << " stall_ns=" << lane.stallNs
-                          << " total_ns="
-                          << lane.busyNs + lane.idleNs + lane.stallNs
-                          << "\n";
-            }
-        }
     }
 
     if (opts.dumpStats) {
