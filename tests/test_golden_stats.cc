@@ -80,8 +80,8 @@ TEST(GoldenStats, SameSeedIsBitIdentical)
         EXPECT_TRUE(identicalResults(first, second))
             << "mode " << dedupModeName(mode);
     }
-    // The multi-MC machine runs per-MC table walks on the lane
-    // scheduler's shard queues; it is held to the same contract.
+    // The multi-MC machine (sharded trees, cross-MC router) is held
+    // to the same contract.
     ExperimentResult first =
         runGoldenCell(DedupMode::PageForge, {.numMcs = 4});
     ExperimentResult second =
@@ -120,21 +120,21 @@ TEST(GoldenStats, FourMcPageForgeCellMatchesGoldenSnapshot)
     ExperimentResult r =
         runGoldenCell(DedupMode::PageForge, {.numMcs = 4});
     ASSERT_EQ(r.perMc.size(), 4u);
-    EXPECT_EQ(r.queries, 61u);
+    EXPECT_EQ(r.queries, 58u);
     EXPECT_EQ(r.merges, 0u);
-    EXPECT_EQ(r.cowBreaks, 154u);
+    EXPECT_EQ(r.cowBreaks, 112u);
     EXPECT_EQ(r.dup.framesUsed, 152u);
-    EXPECT_EQ(r.pfRefills, 2223u);
-    EXPECT_EQ(r.pfPagesScanned, 2707u);
-    EXPECT_EQ(r.simEvents, 16097u);
-    EXPECT_EQ(r.perMc[0].scans, 285u);
-    EXPECT_EQ(r.perMc[1].scans, 232u);
-    EXPECT_EQ(r.perMc[2].scans, 380u);
-    EXPECT_EQ(r.perMc[3].scans, 363u);
-    EXPECT_EQ(r.perMc[0].handoffsIn, 310u);
-    EXPECT_EQ(r.perMc[1].handoffsIn, 334u);
-    EXPECT_EQ(r.perMc[2].handoffsIn, 231u);
-    EXPECT_EQ(r.perMc[3].handoffsIn, 184u);
+    EXPECT_EQ(r.pfRefills, 2447u);
+    EXPECT_EQ(r.pfPagesScanned, 2961u);
+    EXPECT_EQ(r.simEvents, 12779u);
+    EXPECT_EQ(r.perMc[0].scans, 271u);
+    EXPECT_EQ(r.perMc[1].scans, 312u);
+    EXPECT_EQ(r.perMc[2].scans, 413u);
+    EXPECT_EQ(r.perMc[3].scans, 352u);
+    EXPECT_EQ(r.perMc[0].handoffsIn, 332u);
+    EXPECT_EQ(r.perMc[1].handoffsIn, 379u);
+    EXPECT_EQ(r.perMc[2].handoffsIn, 249u);
+    EXPECT_EQ(r.perMc[3].handoffsIn, 175u);
 }
 
 TEST(GoldenStats, FourMcChurnCellMatchesGoldenSnapshot)
@@ -142,25 +142,25 @@ TEST(GoldenStats, FourMcChurnCellMatchesGoldenSnapshot)
     ExperimentResult r = runGoldenCell(DedupMode::PageForge,
                                        {.numMcs = 4, .churn = true});
     ASSERT_EQ(r.perMc.size(), 4u);
-    EXPECT_EQ(r.queries, 63u);
-    EXPECT_EQ(r.merges, 68u);
-    EXPECT_EQ(r.simEvents, 15089u);
+    EXPECT_EQ(r.queries, 59u);
+    EXPECT_EQ(r.merges, 76u);
+    EXPECT_EQ(r.simEvents, 12394u);
     EXPECT_EQ(r.lifecycle.clones, 2u);
     EXPECT_EQ(r.lifecycle.boots, 2u);
     EXPECT_EQ(r.lifecycle.shutdowns, 3u);
-    EXPECT_EQ(r.lifecycle.framesFreed, 140u);
-    EXPECT_EQ(r.perMc[0].scans, 275u);
-    EXPECT_EQ(r.perMc[1].scans, 286u);
-    EXPECT_EQ(r.perMc[2].scans, 424u);
-    EXPECT_EQ(r.perMc[3].scans, 384u);
-    EXPECT_EQ(r.perMc[0].merges, 30u);
-    EXPECT_EQ(r.perMc[1].merges, 13u);
-    EXPECT_EQ(r.perMc[2].merges, 17u);
-    EXPECT_EQ(r.perMc[3].merges, 8u);
-    EXPECT_EQ(r.perMc[0].handoffsIn, 367u);
-    EXPECT_EQ(r.perMc[1].handoffsIn, 362u);
-    EXPECT_EQ(r.perMc[2].handoffsIn, 242u);
-    EXPECT_EQ(r.perMc[3].handoffsIn, 231u);
+    EXPECT_EQ(r.lifecycle.framesFreed, 135u);
+    EXPECT_EQ(r.perMc[0].scans, 332u);
+    EXPECT_EQ(r.perMc[1].scans, 298u);
+    EXPECT_EQ(r.perMc[2].scans, 366u);
+    EXPECT_EQ(r.perMc[3].scans, 401u);
+    EXPECT_EQ(r.perMc[0].merges, 32u);
+    EXPECT_EQ(r.perMc[1].merges, 14u);
+    EXPECT_EQ(r.perMc[2].merges, 19u);
+    EXPECT_EQ(r.perMc[3].merges, 11u);
+    EXPECT_EQ(r.perMc[0].handoffsIn, 387u);
+    EXPECT_EQ(r.perMc[1].handoffsIn, 369u);
+    EXPECT_EQ(r.perMc[2].handoffsIn, 269u);
+    EXPECT_EQ(r.perMc[3].handoffsIn, 235u);
 }
 
 TEST(GoldenStats, FaultedPageForgeCellMatchesGoldenSnapshot)
@@ -191,6 +191,43 @@ TEST(GoldenStats, FaultedPageForgeCellMatchesGoldenSnapshot)
     EXPECT_EQ(r.faults.mergeAborts, 2u);
     EXPECT_EQ(r.faults.oracleChecks, 65u);
     EXPECT_EQ(r.faults.oracleViolations, 0u);
+}
+
+TEST(GoldenStats, FourMcWedgeAndHandoffLossCellMatchesGoldenSnapshot)
+{
+    // Module wedges plus lost cross-MC handoffs on the 4-MC machine:
+    // the watchdog, shard failover/readmission and handoff retry
+    // paths. Every wedge is detected and failed over, and every lost
+    // handoff is retried.
+    FaultConfig faults;
+    faults.mcWedgeRate = 300.0;
+    faults.handoffLossProb = 0.05;
+    faults.seed = 7;
+    ExperimentResult r = runGoldenCell(DedupMode::PageForge,
+                                       {.numMcs = 4, .faults = faults});
+    ASSERT_EQ(r.perMc.size(), 4u);
+    EXPECT_EQ(r.queries, 58u);
+    EXPECT_EQ(r.merges, 0u);
+    EXPECT_EQ(r.simEvents, 13562u);
+    EXPECT_EQ(r.pfPagesScanned, 3203u);
+    EXPECT_EQ(r.faults.mcWedgesInjected, 4u);
+    EXPECT_EQ(r.faults.wedgesDetected, 4u);
+    EXPECT_EQ(r.faults.moduleRestarts, 4u);
+    EXPECT_EQ(r.faults.failovers, 4u);
+    EXPECT_EQ(r.faults.readmissions, 3u);
+    EXPECT_EQ(r.faults.rehomedPrefixes, 65536u);
+    EXPECT_EQ(r.faults.handoffsLost, 49u);
+    EXPECT_EQ(r.faults.handoffRetries, 49u);
+    EXPECT_EQ(r.faults.handoffDeadLetters, 0u);
+    EXPECT_EQ(r.faults.oracleViolations, 0u);
+    EXPECT_EQ(r.perMc[0].scans, 297u);
+    EXPECT_EQ(r.perMc[1].scans, 410u);
+    EXPECT_EQ(r.perMc[2].scans, 370u);
+    EXPECT_EQ(r.perMc[3].scans, 331u);
+    EXPECT_EQ(r.perMc[0].wedges, 0u);
+    EXPECT_EQ(r.perMc[1].wedges, 0u);
+    EXPECT_EQ(r.perMc[2].wedges, 3u);
+    EXPECT_EQ(r.perMc[3].wedges, 1u);
 }
 
 } // namespace
