@@ -209,8 +209,8 @@ struct ExecSummary
     std::uint64_t phase2Ns = 0;
     std::uint64_t mailboxHwm = 0;
     double phase2Efficiency = 0.0;
-    std::vector<LaneExecStats> lanes;         //!< index 0 = lane 0
-    std::vector<std::uint64_t> workerBusyNs;  //!< slot 0 = scheduler
+    std::vector<LaneExecStats> lanes;
+    std::vector<std::uint64_t> workerBusyNs;
 };
 
 /** Everything a bench needs to print its table/figure rows. */
