@@ -33,7 +33,7 @@ struct Rig
                    CacheConfig{"l1", 32 * 1024, 8, 2, 16},
                    CacheConfig{"l2", 256 * 1024, 8, 6, 16},
                    CacheConfig{"l3", 4 * 1024 * 1024, 16, 20, 16},
-                   BusConfig{}, mc};
+                   BusConfig{}, {&mc}};
     PageForgeModule module{"pf", eq, mc, hier, PageForgeConfig{}};
     PageForgeApi api{module};
 

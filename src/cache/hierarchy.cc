@@ -19,10 +19,10 @@ reqIdx(Requester req)
 Hierarchy::Hierarchy(std::string name, EventQueue &eq, unsigned num_cores,
                      const CacheConfig &l1_cfg, const CacheConfig &l2_cfg,
                      const CacheConfig &l3_cfg, const BusConfig &bus_cfg,
-                     MemController &mc)
+                     std::vector<MemController *> mcs)
     : SimObject(std::move(name), eq), _numCores(num_cores),
-      _bus(this->name() + ".bus", eq, bus_cfg), _mcs{&mc},
-      _residency(mc.memory().totalFrames() * linesPerPage),
+      _bus(this->name() + ".bus", eq, bus_cfg), _mcs(std::move(mcs)),
+      _residency(_mcs.at(0)->memory().totalFrames() * linesPerPage),
       _stats(this->name())
 {
     pf_assert(num_cores > 0, "hierarchy with no cores");

@@ -60,7 +60,7 @@ class Hierarchy : public SimObject
     Hierarchy(std::string name, EventQueue &eq, unsigned num_cores,
               const CacheConfig &l1_cfg, const CacheConfig &l2_cfg,
               const CacheConfig &l3_cfg, const BusConfig &bus_cfg,
-              MemController &mc);
+              std::vector<MemController *> mcs);
 
     /**
      * Perform a demand access from a core.
@@ -92,15 +92,6 @@ class Hierarchy : public SimObject
     Cache &l2(CoreId core) { return *_l2[core]; }
     Cache &l3() { return *_l3; }
     Bus &bus() { return _bus; }
-    MemController &memController() { return *_mcs[0]; }
-
-    /**
-     * Register a further memory controller for a multi-MC machine.
-     * Address traffic below the L3 is then routed by the frame's home
-     * channel: frame % numMemControllers(), matching the ShardMap's
-     * channel interleave.
-     */
-    void addMemController(MemController &mc) { _mcs.push_back(&mc); }
 
     unsigned
     numMemControllers() const
@@ -108,13 +99,15 @@ class Hierarchy : public SimObject
         return static_cast<unsigned>(_mcs.size());
     }
 
-    /** Controller owning @p addr under the channel interleave. */
+    /**
+     * Controller owning @p addr. Traffic below the L3 routes by the
+     * frame's home channel, frame % numMemControllers(), matching the
+     * ShardMap's channel interleave.
+     */
     MemController &
     mcFor(Addr addr)
     {
-        return _mcs.size() == 1
-            ? *_mcs[0]
-            : *_mcs[addrToFrame(addr) % _mcs.size()];
+        return *_mcs[addrToFrame(addr) % numMemControllers()];
     }
 
     /** L3 demand accesses by requester class (Table 4). */
@@ -150,7 +143,7 @@ class Hierarchy : public SimObject
     std::vector<std::unique_ptr<Mshr>> _l2Mshr;
     std::unique_ptr<Cache> _l3;
     Bus _bus;
-    std::vector<MemController *> _mcs; //!< [0] is the ctor's controller
+    std::vector<MemController *> _mcs; //!< one per channel, in order
 
     /**
      * Holder count per line across every cache of this hierarchy; a

@@ -11,8 +11,10 @@ namespace pageforge
 {
 
 ModuleWatchdog::ModuleWatchdog(std::string name, EventQueue &eq,
-                               const WatchdogConfig &config)
-    : SimObject(std::move(name), eq), _config(config)
+                               const WatchdogConfig &config,
+                               PageForgeDriver &driver, ShardMap &map)
+    : SimObject(std::move(name), eq), _config(config), _driver(driver),
+      _shardMap(map)
 {
     pf_assert(_config.heartbeatInterval > 0,
               "watchdog heartbeat must be positive");
@@ -33,7 +35,6 @@ void
 ModuleWatchdog::start()
 {
     pf_assert(!_watches.empty(), "watchdog with nothing to watch");
-    pf_assert(_driver, "watchdog without a driver");
     _running = true;
     for (Watch &w : _watches)
         w.lastCompletions = w.module->batchesCompleted();
@@ -87,8 +88,8 @@ ModuleWatchdog::handleWedge(unsigned shard)
     // Fail the shard's content-prefix range and scan duties over to
     // the next healthy shard. A single-MC machine has no survivor:
     // the pipeline just pauses until the module restart completes.
-    if (_shardMap && _shardMap->numShards() > 1) {
-        unsigned takeover = _shardMap->quarantine(shard);
+    if (_shardMap.numShards() > 1) {
+        unsigned takeover = _shardMap.quarantine(shard);
         ++_failovers;
         probe().instant("mc-failover", curTick(),
                         {"mc", static_cast<double>(shard)},
@@ -99,10 +100,10 @@ ModuleWatchdog::handleWedge(unsigned shard)
 
     // Quiesce after the failover so queued work forwards to the
     // reassigned owner, then restart the hardware.
-    _driver->quiesceShard(shard);
+    _driver.quiesceShard(shard);
     w.module->forceReset();
     ++_restarts;
-    _driver->onModuleRestarted(shard);
+    _driver.onModuleRestarted(shard);
 
     eventq().schedule(curTick() + _config.recoveryDelay,
                       [this, shard] { enterRecovering(shard); });
@@ -127,13 +128,11 @@ ModuleWatchdog::readmit(unsigned shard)
     if (!_running)
         return;
     Watch &w = _watches[shard];
-    if (_shardMap && _shardMap->quarantined(shard)) {
-        _shardMap->readmit(shard);
-        ++_readmissions;
-    } else if (!_shardMap || _shardMap->numShards() == 1) {
-        ++_readmissions;
-    }
-    _driver->resumeShard(shard);
+    // Quarantined exactly when handleWedge failed the shard over.
+    if (_shardMap.quarantined(shard))
+        _shardMap.readmit(shard);
+    ++_readmissions;
+    _driver.resumeShard(shard);
     w.down = false;
     w.stagnant = 0;
     w.lastCompletions = w.module->batchesCompleted();

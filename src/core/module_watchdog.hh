@@ -60,17 +60,17 @@ struct WatchdogConfig
 class ModuleWatchdog : public SimObject
 {
   public:
+    /**
+     * @param driver driver whose pipelines are quiesced/resumed on
+     *        failover
+     * @param map owner overlay mutated on quarantine/re-admission
+     */
     ModuleWatchdog(std::string name, EventQueue &eq,
-                   const WatchdogConfig &config);
+                   const WatchdogConfig &config, PageForgeDriver &driver,
+                   ShardMap &map);
 
     /** Register one module per shard, in shard order, before start(). */
     void watchModule(PageForgeModule &module);
-
-    /** Driver whose pipelines are quiesced/resumed on failover. */
-    void setDriver(PageForgeDriver &driver) { _driver = &driver; }
-
-    /** Owner overlay mutated on quarantine/re-admission (multi-MC). */
-    void setShardMap(ShardMap &map) { _shardMap = &map; }
 
     /**
      * Health transition hooks, fired in recovery order:
@@ -132,8 +132,8 @@ class ModuleWatchdog : public SimObject
 
     WatchdogConfig _config;
     std::vector<Watch> _watches;
-    PageForgeDriver *_driver = nullptr;
-    ShardMap *_shardMap = nullptr;
+    PageForgeDriver &_driver;
+    ShardMap &_shardMap;
     std::function<void(unsigned)> _quarantineHook;
     std::function<void(unsigned)> _recoveringHook;
     std::function<void(unsigned)> _healthyHook;

@@ -12,21 +12,31 @@ namespace pageforge
 {
 
 PageForgeDriver::PageForgeDriver(std::string name, EventQueue &eq,
-                                 Hypervisor &hyper, PageForgeApi &api,
+                                 Hypervisor &hyper,
+                                 std::vector<PageForgeApi *> apis,
+                                 const ShardMap &map, CrossMcRouter &router,
                                  std::vector<Core *> cores,
                                  const PageForgeDriverConfig &config)
-    : SimObject(std::move(name), eq), _hyper(hyper), _apis{&api},
-      _cores(std::move(cores)), _config(config),
-      _stableAcc(hyper.memory()), _guestAcc(hyper), _shardScans(1),
-      _shardMerges(1)
+    : SimObject(std::move(name), eq), _hyper(hyper),
+      _apis(std::move(apis)), _cores(std::move(cores)), _config(config),
+      _stableAcc(hyper.memory()), _guestAcc(hyper), _shardMap(map),
+      _router(router), _shardScans(_apis.size()),
+      _shardMerges(_apis.size())
 {
     pf_assert(!_cores.empty(), "driver with no cores");
-    _stables.push_back(std::make_unique<ContentTree>(
-        _stableAcc, /*immutable_contents=*/true));
-    _unstables.push_back(std::make_unique<ContentTree>(_guestAcc));
-    _pipelines.push_back(std::make_unique<Pipeline>());
-    _pipelines.back()->shard = 0;
-    api.module().setEccOffsets(config.eccOffsets);
+    pf_assert(map.numShards() == numShards() &&
+                  router.numMcs() == numShards(),
+              "shard map covers %u shards and router %u MCs, driver "
+              "has %u",
+              map.numShards(), router.numMcs(), numShards());
+    for (unsigned shard = 0; shard < numShards(); ++shard) {
+        _apis[shard]->module().setEccOffsets(config.eccOffsets);
+        _stables.push_back(std::make_unique<ContentTree>(
+            _stableAcc, /*immutable_contents=*/true));
+        _unstables.push_back(std::make_unique<ContentTree>(_guestAcc));
+        _pipelines.push_back(std::make_unique<Pipeline>());
+        _pipelines.back()->shard = shard;
+    }
     _destroyToken = _hyper.addVmDestroyListener(
         [this](VmId vm_id) { onVmDestroyed(vm_id); });
     _pinToken = _hyper.addPinProvider([this] {
@@ -47,31 +57,6 @@ PageForgeDriver::~PageForgeDriver()
     for (auto &stable : _stables)
         stable->clear(
             [this](PageHandle handle) { onStablePrune(handle); });
-}
-
-void
-PageForgeDriver::addShardApi(PageForgeApi &api)
-{
-    pf_assert(!_running, "adding a shard to a running driver");
-    api.module().setEccOffsets(_config.eccOffsets);
-    _apis.push_back(&api);
-    _stables.push_back(std::make_unique<ContentTree>(
-        _stableAcc, /*immutable_contents=*/true));
-    _unstables.push_back(std::make_unique<ContentTree>(_guestAcc));
-    _pipelines.push_back(std::make_unique<Pipeline>());
-    _pipelines.back()->shard = numShards() - 1;
-    _shardScans.push_back(0);
-    _shardMerges.push_back(0);
-}
-
-void
-PageForgeDriver::setShardRouting(const ShardMap &map, CrossMcRouter &router)
-{
-    pf_assert(map.numShards() == numShards(),
-              "shard map covers %u shards, driver has %u",
-              map.numShards(), numShards());
-    _shardMap = &map;
-    _router = &router;
 }
 
 bool
@@ -171,10 +156,10 @@ PageForgeDriver::currentAccessor(Pipeline &p)
 void
 PageForgeDriver::startPass(Pipeline &p)
 {
-    if (_synchronous || _pipelines.size() == 1) {
-        // Classic single-pipeline pass (and the synchronous warm-up
-        // pass on any machine): walk the whole machine in hypervisor
-        // order.
+    if (_synchronous) {
+        // The synchronous warm-up pass walks the whole machine in
+        // hypervisor order on any machine, so warm-up results are
+        // independent of the MC count.
         for (auto &unstable : _unstables)
             unstable->clear();
         p.scanList = _hyper.mergeablePages();
@@ -190,9 +175,7 @@ PageForgeDriver::startPass(Pipeline &p)
             // scanOwnerOf, not homeOf: a quarantined shard's frames
             // are scanned by its takeover pipeline until re-admission
             // (identity while no shard is quarantined).
-            unsigned home = _shardMap ? _shardMap->scanOwnerOf(frame)
-                                      : frame % numShards();
-            if (home == p.shard)
+            if (_shardMap.scanOwnerOf(frame) == p.shard)
                 p.scanList.push_back(key);
         }
     }
@@ -454,57 +437,52 @@ PageForgeDriver::setupCandidate(Pipeline &p, bool from_inbox)
     p.phase = Phase::Stable;
     p.firstBatch = true;
     p.stableInsertValid = false;
-    p.candidateShard = 0;
-    if (_shardMap && _shardMap->numShards() > 1) {
-        // The content key decides which shard's trees can hold this
-        // page; if that is not the MC homing the frame, the scanning
-        // MC hands the candidate across the interconnect. The owner
-        // overlay redirects a quarantined shard's range to its
-        // takeover (identity in fault-free runs).
-        unsigned content = _shardMap->ownerOf(_shardMap->contentShardOf(
-            _hyper.memory().data(p.candidateFrame)));
-        if (_synchronous) {
-            // Synchronous passes fast-forward: serve the candidate on
-            // the content shard directly, counting the handoff with
-            // zero latency.
-            unsigned home = _shardMap->homeOf(p.candidateFrame);
-            p.candidateShard = content;
-            if (home != content && _router) {
-                _router->enqueue(home, content, curTick());
-                probe().instant(
-                    "mc-handoff", curTick(),
-                    {"src", static_cast<double>(home)},
-                    {"dst", static_cast<double>(content)});
-            }
-        } else if (content != p.shard) {
-            // Content homed elsewhere. A pipeline may only drive its
-            // own module (the frame's nominal home can drift after the
-            // scan list was built — remaps and merges move frames —
-            // but the comparison is always against this pipeline).
-            if (from_inbox) {
-                // Rewritten in transit: the content re-homed to yet
-                // another shard. Drop it; a later pass rescans it.
-                ++_mergeStats.pagesDropped;
-                p.candidateFrame = invalidFrame;
-                return Action::CandidateDone;
-            }
-            // Hand the candidate to the owning shard's pipeline. It
-            // leaves this pipeline entirely — unpinned, because the
-            // arrival revalidates the page from scratch.
-            pf_assert(_router, "multi-shard driver without a router");
+    // The content key decides which shard's trees can hold this page;
+    // if that is not the MC homing the frame, the scanning MC hands the
+    // candidate across the interconnect. The owner overlay redirects a
+    // quarantined shard's range to its takeover (identity in
+    // fault-free runs).
+    unsigned content = _shardMap.ownerOf(_shardMap.contentShardOf(
+        _hyper.memory().data(p.candidateFrame)));
+    if (_synchronous) {
+        // Synchronous passes fast-forward: serve the candidate on the
+        // content shard directly, counting the handoff with zero
+        // latency.
+        unsigned home = _shardMap.homeOf(p.candidateFrame);
+        p.candidateShard = content;
+        if (home != content) {
+            _router.enqueue(home, content, curTick());
             probe().instant("mc-handoff", curTick(),
-                            {"src", static_cast<double>(p.shard)},
+                            {"src", static_cast<double>(home)},
                             {"dst", static_cast<double>(content)});
-            sendHandoff(p.shard, content, p.candidate, 0);
-            _shardScans[p.candidateFrame % _shardScans.size()] += 1;
+        }
+    } else if (content != p.shard) {
+        // Content homed elsewhere. A pipeline may only drive its own
+        // module (the frame's nominal home can drift after the scan
+        // list was built — remaps and merges move frames — but the
+        // comparison is always against this pipeline).
+        if (from_inbox) {
+            // Rewritten in transit: the content re-homed to yet
+            // another shard. Drop it; a later pass rescans it.
+            ++_mergeStats.pagesDropped;
             p.candidateFrame = invalidFrame;
             return Action::CandidateDone;
-        } else {
-            p.candidateShard = p.shard; // content homes right here
         }
+        // Hand the candidate to the owning shard's pipeline. It leaves
+        // this pipeline entirely — unpinned, because the arrival
+        // revalidates the page from scratch.
+        probe().instant("mc-handoff", curTick(),
+                        {"src", static_cast<double>(p.shard)},
+                        {"dst", static_cast<double>(content)});
+        sendHandoff(p.shard, content, p.candidate, 0);
+        _shardScans[_shardMap.homeOf(p.candidateFrame)] += 1;
+        p.candidateFrame = invalidFrame;
+        return Action::CandidateDone;
+    } else {
+        p.candidateShard = p.shard; // content homes right here
     }
     if (!from_inbox) // handed-off candidates were counted at home
-        _shardScans[p.candidateFrame % _shardScans.size()] += 1;
+        _shardScans[_shardMap.homeOf(p.candidateFrame)] += 1;
     pinCandidate(p);
     return beginPhase(p);
 }
@@ -887,13 +865,13 @@ void
 PageForgeDriver::sendHandoff(unsigned src, unsigned dst, PageKey key,
                              unsigned attempt)
 {
-    HandoffDelivery d = _router->route(src, dst, curTick());
+    HandoffDelivery d = _router.route(src, dst, curTick());
     if (d.lost) {
-        if (attempt >= _router->retryPolicy().maxRetries) {
+        if (attempt >= _router.retryPolicy().maxRetries) {
             // Dead letter: the sender already released the candidate
             // (unpinned, frame invalidated), so nothing is stranded —
             // the page simply waits for a later scan pass.
-            _router->recordDeadLetter();
+            _router.recordDeadLetter();
             probe().instant("handoff-dead-letter", curTick(),
                             {"dst", static_cast<double>(dst)});
             pf_warn(Fault,
@@ -901,18 +879,16 @@ PageForgeDriver::sendHandoff(unsigned src, unsigned dst, PageKey key,
                     src, dst, attempt + 1);
             return;
         }
-        _router->recordRetry();
+        _router.recordRetry();
         probe().instant("handoff-retry", curTick(),
                         {"attempt", static_cast<double>(attempt + 1)});
-        Tick backoff = _router->retryBackoff(attempt);
+        Tick backoff = _router.retryBackoff(attempt);
         eventq().schedule(curTick() + backoff,
                           [this, src, dst, key, attempt] {
                               // The destination may have failed over
                               // during the backoff; re-resolve.
-                              unsigned cur = _shardMap
-                                  ? _shardMap->ownerOf(dst)
-                                  : dst;
-                              sendHandoff(src, cur, key, attempt + 1);
+                              sendHandoff(src, _shardMap.ownerOf(dst),
+                                          key, attempt + 1);
                           });
         return;
     }
@@ -935,9 +911,7 @@ PageForgeDriver::deliverHandoff(unsigned shard, PageKey key)
               "handoff to unknown shard %u", shard);
     // The owning shard may have been quarantined while the message
     // crossed the interconnect: forward to its current owner.
-    if (_shardMap)
-        shard = _shardMap->ownerOf(shard);
-    Pipeline &p = *_pipelines[shard];
+    Pipeline &p = *_pipelines[_shardMap.ownerOf(shard)];
     p.inbox.push_back(key);
     // Kick the pipeline when idle; a busy one drains its inbox at the
     // next advance.
@@ -960,21 +934,19 @@ PageForgeDriver::quiesceShard(unsigned shard)
     // Forward queued work to the takeover pipeline: everything in
     // this inbox and merge-retry backlog belongs to the quarantined
     // content range, which the takeover now owns. Arrival-side
-    // revalidation absorbs anything that went stale meanwhile.
-    if (_shardMap && _shardMap->numShards() > 1) {
-        unsigned owner = _shardMap->ownerOf(shard);
-        if (owner != shard) {
-            Pipeline &t = *_pipelines[owner];
-            for (const PageKey &key : p.inbox)
-                t.inbox.push_back(key);
-            p.inbox.clear();
-            for (const MergeRetry &retry : p.retryQueue)
-                t.retryQueue.push_back(retry);
-            p.retryQueue.clear();
-            if (_running && !t.quiesced &&
-                t.candidateFrame == invalidFrame)
-                advance(t);
-        }
+    // revalidation absorbs anything that went stale meanwhile. A
+    // one-shard machine has no takeover: the work waits in place.
+    unsigned owner = _shardMap.ownerOf(shard);
+    if (owner != shard) {
+        Pipeline &t = *_pipelines[owner];
+        for (const PageKey &key : p.inbox)
+            t.inbox.push_back(key);
+        p.inbox.clear();
+        for (const MergeRetry &retry : p.retryQueue)
+            t.retryQueue.push_back(retry);
+        p.retryQueue.clear();
+        if (_running && !t.quiesced && t.candidateFrame == invalidFrame)
+            advance(t);
     }
 }
 

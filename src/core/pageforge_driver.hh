@@ -12,15 +12,15 @@
  * subtree to load next; the ECC hash key generated in the background
  * replaces the jhash check.
  *
- * On a multi-MC machine the driver runs one *pipeline* per shard: each
- * pipeline scans the pages homed on its controller (with its own page
- * budget per interval — N controllers scan N× faster), drives its own
- * module, and owns its shard's trees. A candidate whose content key
- * homes on a remote shard is handed to that shard's pipeline through
- * the CrossMcRouter and processed there, so every Scan Table has
- * exactly one driver. Every pipeline, module and core shares the
- * machine's one event queue, so a multi-MC machine runs the same code
- * as a single-MC one; a single-MC machine simply builds one pipeline.
+ * The driver runs one *pipeline* per shard, i.e. per memory
+ * controller: each pipeline scans the pages homed on its controller
+ * (with its own page budget per interval — N controllers scan N×
+ * faster), drives its own module, and owns its shard's trees. A
+ * candidate whose content key homes on a remote shard is handed to
+ * that shard's pipeline through the CrossMcRouter and processed there,
+ * so every Scan Table has exactly one driver. Every pipeline, module
+ * and core shares the machine's one event queue. A 1-MC machine is a
+ * one-shard machine: one pipeline, and no candidate ever leaves it.
  *
  * CPU cost is limited to the API calls and tree bookkeeping, charged
  * to a rotating core — the "modest hypervisor involvement" of the
@@ -78,27 +78,23 @@ struct PageForgeDriverConfig
 class PageForgeDriver : public SimObject
 {
   public:
+    /**
+     * @param apis one module API per memory controller, in shard
+     *        order. Each shard gets its own scan pipeline and its own
+     *        stable/unstable content trees owning a disjoint key-prefix
+     *        range (see ShardMap); every module's ECC offsets are
+     *        aligned with the driver's.
+     * @param map homing map covering exactly apis.size() shards
+     * @param router inter-MC handoff path: a candidate whose content
+     *        key homes on a remote shard is handed to the owning
+     *        shard's pipeline through it, paying its latency before the
+     *        first batch is programmed (event mode)
+     */
     PageForgeDriver(std::string name, EventQueue &eq, Hypervisor &hyper,
-                    PageForgeApi &api, std::vector<Core *> cores,
+                    std::vector<PageForgeApi *> apis, const ShardMap &map,
+                    CrossMcRouter &router, std::vector<Core *> cores,
                     const PageForgeDriverConfig &config);
     ~PageForgeDriver() override;
-
-    /**
-     * Grow the machine by one more memory controller's module: the
-     * new shard gets its own scan pipeline and its own stable/unstable
-     * content trees owning a disjoint key-prefix range (see ShardMap).
-     * Call once per extra MC, before start(). The module's ECC offsets
-     * are aligned with the driver's.
-     */
-    void addShardApi(PageForgeApi &api);
-
-    /**
-     * Wire the homing map and the inter-MC handoff path. Candidates
-     * whose content key homes on a remote shard are handed to the
-     * owning shard's pipeline through @p router, paying its latency
-     * before the first batch is programmed (event mode).
-     */
-    void setShardRouting(const ShardMap &map, CrossMcRouter &router);
 
     /** Begin periodic scanning (event mode). */
     void start();
@@ -201,10 +197,7 @@ class PageForgeDriver : public SimObject
         return _pipelines[shard]->quiesced;
     }
 
-    ContentTree &stableTree() { return *_stables[0]; }
-    ContentTree &unstableTree() { return *_unstables[0]; }
-
-    /** Per-shard trees of a multi-MC driver. */
+    /** Per-shard content trees. */
     ContentTree &stableTree(unsigned shard) { return *_stables[shard]; }
     ContentTree &unstableTree(unsigned shard)
     {
@@ -265,11 +258,10 @@ class PageForgeDriver : public SimObject
 
     /**
      * One shard's scan pipeline: the per-candidate state machine plus
-     * its slice of the scan list. A single-MC driver has exactly one;
-     * a multi-MC driver runs one per shard, interleaved on the event
-     * queue so their tree and hypervisor mutations stay serialized
-     * and deterministic while their hardware walks overlap in
-     * simulated time.
+     * its slice of the scan list. The driver runs one per shard,
+     * interleaved on the event queue so their tree and hypervisor
+     * mutations stay serialized and deterministic while their hardware
+     * walks overlap in simulated time.
      */
     struct Pipeline
     {
@@ -323,7 +315,7 @@ class PageForgeDriver : public SimObject
     };
 
     Hypervisor &_hyper;
-    std::vector<PageForgeApi *> _apis; //!< one per shard, [0] = home MC
+    std::vector<PageForgeApi *> _apis; //!< one per shard
     std::vector<Core *> _cores;
     PageForgeDriverConfig _config;
 
@@ -333,9 +325,8 @@ class PageForgeDriver : public SimObject
     std::vector<std::unique_ptr<ContentTree>> _unstables;
     std::vector<std::unique_ptr<Pipeline>> _pipelines;
 
-    // Multi-MC routing (single-shard machines leave these null).
-    const ShardMap *_shardMap = nullptr;
-    CrossMcRouter *_router = nullptr;
+    const ShardMap &_shardMap;
+    CrossMcRouter &_router;
     std::vector<std::uint64_t> _shardScans;
     std::vector<std::uint64_t> _shardMerges;
 

@@ -8,12 +8,13 @@ namespace pageforge
 {
 
 FaultInjector::FaultInjector(std::string name, EventQueue &eq,
-                             MemController &mc, Hypervisor &hyper,
-                             const FaultConfig &config,
+                             std::vector<MemController *> mcs,
+                             Hypervisor &hyper, const FaultConfig &config,
                              std::uint64_t stream_seed)
-    : SimObject(std::move(name), eq), _mc(mc), _mcs{&mc}, _hyper(hyper),
-      _config(config), _rng(stream_seed)
+    : SimObject(std::move(name), eq), _mcs(std::move(mcs)),
+      _hyper(hyper), _config(config), _rng(stream_seed)
 {
+    pf_assert(!_mcs.empty(), "fault injector with no controllers");
     std::string bad = _config.problem();
     pf_assert(bad.empty(), "invalid fault config: %s", bad.c_str());
 }
@@ -22,7 +23,7 @@ double
 FaultInjector::meanFlipIntervalTicks() const
 {
     double capacity_gb =
-        static_cast<double>(_mc.memory().totalFrames()) * pageSize / 1e9;
+        static_cast<double>(_hyper.memory().totalFrames()) * pageSize / 1e9;
     double flips_per_sec = _config.flipsPerGBSec * capacity_gb;
     return static_cast<double>(ticksPerSec) / flips_per_sec;
 }
@@ -68,7 +69,7 @@ FaultInjector::injectFlip()
     // Pick an allocated, not-yet-poisoned victim frame. Bounded
     // retries keep the event cheap when memory is sparse; a miss is
     // a fault that struck an unused cell (counted, not injected).
-    PhysicalMemory &mem = _mc.memory();
+    PhysicalMemory &mem = _hyper.memory();
     FrameId frame = invalidFrame;
     for (unsigned attempt = 0; attempt < 64; ++attempt) {
         FrameId pick =

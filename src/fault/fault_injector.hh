@@ -48,21 +48,18 @@ class FaultInjector : public SimObject
 {
   public:
     /**
+     * @param mcs every memory controller, in channel order. Flips are
+     *        injected through the controller homing the picked frame
+     *        (frame % numMcs, the ShardMap interleave), so the fault
+     *        lands on the owning channel's read path. The
+     *        victim-selection RNG sequence is unchanged by the number
+     *        of controllers.
      * @param stream_seed dedicated RNG stream seed (the System derives
      *        it from the experiment seed and the config's extra seed)
      */
-    FaultInjector(std::string name, EventQueue &eq, MemController &mc,
-                  Hypervisor &hyper, const FaultConfig &config,
-                  std::uint64_t stream_seed);
-
-    /**
-     * Register a further memory controller of a multi-MC machine.
-     * Flips are then injected through the controller homing the picked
-     * frame (frame % numMcs, the ShardMap interleave) — the fault
-     * lands on the owning channel's read path. The victim-selection
-     * RNG sequence is unchanged by the number of controllers.
-     */
-    void addMemController(MemController &mc) { _mcs.push_back(&mc); }
+    FaultInjector(std::string name, EventQueue &eq,
+                  std::vector<MemController *> mcs, Hypervisor &hyper,
+                  const FaultConfig &config, std::uint64_t stream_seed);
 
     /** Begin scheduling fault events (no-op for all-zero rates). */
     void start();
@@ -133,8 +130,7 @@ class FaultInjector : public SimObject
     const FaultInjectStats &stats() const { return _stats; }
 
   private:
-    MemController &_mc;
-    std::vector<MemController *> _mcs; //!< [0] is the ctor's controller
+    std::vector<MemController *> _mcs; //!< one per channel, in order
     Hypervisor &_hyper;
     FaultConfig _config;
     Rng _rng;

@@ -464,7 +464,7 @@ Hypervisor::mergeIntoFrame(const PageKey &candidate, FrameId target)
     if (_oracle) {
         // Frames homing on different controllers mean this commit came
         // through a cross-MC handoff; the oracle tags those checks.
-        bool cross_mc = _mem.numShards() > 1 &&
+        bool cross_mc =
             page.frame % _mem.numShards() != target % _mem.numShards();
         equal = _oracle->check(_mem.data(page.frame), _mem.data(target),
                                cross_mc);

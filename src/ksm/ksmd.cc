@@ -179,11 +179,12 @@ Ksmd::fetchLines(CoreId core, FrameId frame, std::uint32_t lines,
 {
     if (_config.bypassCaches) {
         // Uncacheable accesses (Section 4.3): every line goes to the
-        // memory controller; no allocation anywhere, full latency.
-        MemController &mc = _hierarchy.memController();
+        // memory controller homing it; no allocation anywhere, full
+        // latency.
         for (std::uint32_t i = 0; i < lines; ++i) {
+            Addr addr = lineAddr(frame, i);
             McReadResult rr =
-                mc.readLine(lineAddr(frame, i), now, Requester::Ksm);
+                _hierarchy.mcFor(addr).readLine(addr, now, Requester::Ksm);
             now = rr.done;
         }
         return now;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Physical-address and content-key homing for a multi-MC machine.
+ * Physical-address and content-key homing across memory controllers.
  *
  * The paper places one PageForge module in one memory controller and
  * leaves scale-out open. With N controllers the machine interleaves
@@ -26,7 +26,8 @@ namespace pageforge
 {
 
 /**
- * Homing functions shared by all multi-MC components.
+ * Homing functions shared by every sharded component. A 1-MC machine
+ * has a one-shard map: every frame and every prefix homes on shard 0.
  *
  * The static maps (homeOf / contentShardOf) never change: physical
  * channel interleave and content-prefix ranges are properties of the
@@ -67,12 +68,8 @@ class ShardMap
     unsigned
     contentShardOf(const std::uint8_t *page) const
     {
-        if (_numShards == 1)
-            return 0;
-        std::uint32_t prefix =
-            (static_cast<std::uint32_t>(page[0]) << 8) | page[1];
-        return static_cast<unsigned>(
-            (prefix * static_cast<std::uint64_t>(_numShards)) >> 16);
+        return contentShardOfPrefix(
+            (static_cast<std::uint32_t>(page[0]) << 8) | page[1]);
     }
 
     /** Content shard owning a raw 16-bit big-endian prefix. */

@@ -236,6 +236,35 @@ sameFaults(const FaultSummary &a, const FaultSummary &b)
 }
 
 bool
+samePhases(const std::vector<PhaseSnapshot> &a,
+           const std::vector<PhaseSnapshot> &b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        if (a[i].tick != b[i].tick || a[i].framesUsed != b[i].framesUsed ||
+            a[i].mappedPages != b[i].mappedPages ||
+            a[i].liveVms != b[i].liveVms)
+            return false;
+    }
+    return true;
+}
+
+bool
+sameLifecycle(const LifecycleSummary &a, const LifecycleSummary &b)
+{
+    return a.enabled == b.enabled && a.clones == b.clones &&
+        a.boots == b.boots && a.shutdowns == b.shutdowns &&
+        a.skippedArrivals == b.skippedArrivals &&
+        a.framesFreed == b.framesFreed &&
+        sameBits(a.meanUnmergeStorm, b.meanUnmergeStorm) &&
+        sameBits(a.meanReclaimUs, b.meanReclaimUs) &&
+        sameBits(a.meanRecoveryMs, b.meanRecoveryMs) &&
+        sameBits(a.p95RecoveryMs, b.p95RecoveryMs) &&
+        a.recoveryTimeouts == b.recoveryTimeouts;
+}
+
+bool
 samePerMc(const std::vector<McSummary> &a,
           const std::vector<McSummary> &b)
 {
@@ -510,6 +539,8 @@ identicalResults(const ExperimentResult &a, const ExperimentResult &b)
         a.pfPagesScanned == b.pfPagesScanned && a.merges == b.merges &&
         a.cowBreaks == b.cowBreaks && a.simEvents == b.simEvents &&
         a.pagesScanned == b.pagesScanned &&
+        samePhases(a.phases, b.phases) &&
+        sameLifecycle(a.lifecycle, b.lifecycle) &&
         sameFaults(a.faults, b.faults) && a.numMcs == b.numMcs &&
         samePerMc(a.perMc, b.perMc);
     // hostSeconds is host wall-clock, never part of result identity.

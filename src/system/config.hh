@@ -62,8 +62,8 @@ struct SystemConfig
      * controller hosts its own module, Scan Table, and content-tree
      * shard; candidates whose content key homes on a remote shard pay
      * a CrossMcRouter handoff. 1 (the default, the paper's machine)
-     * builds the classic single-MC system, bit-identical to before
-     * this knob existed.
+     * builds a one-shard machine whose router never carries a handoff;
+     * its results are bit-identical to the classic single-MC system.
      */
     unsigned numMcs = 1;
 

@@ -259,46 +259,44 @@ runExperiment(const AppProfile &app, DedupMode mode,
         }
         sum.mcWedgesInjected = fs.mcWedges;
         sum.brownouts = fs.brownouts;
-        if (CrossMcRouter *router = system.crossMcRouter()) {
-            sum.handoffsLost = router->handoffsLost();
-            sum.handoffsCorrupted = router->handoffsCorrupted();
-            sum.handoffsSpiked = router->handoffsSpiked();
-            sum.handoffRetries = router->handoffRetries();
-            sum.handoffDeadLetters = router->handoffDeadLetters();
-        }
+        const CrossMcRouter &router = *system.crossMcRouter();
+        sum.handoffsLost = router.handoffsLost();
+        sum.handoffsCorrupted = router.handoffsCorrupted();
+        sum.handoffsSpiked = router.handoffsSpiked();
+        sum.handoffRetries = router.handoffRetries();
+        sum.handoffDeadLetters = router.handoffDeadLetters();
         if (ModuleWatchdog *dog = system.watchdog()) {
             sum.wedgesDetected = dog->wedgesDetected();
             sum.moduleRestarts = dog->moduleRestarts();
             sum.failovers = dog->failovers();
             sum.readmissions = dog->readmissions();
         }
-        if (ShardMap *shards = system.shardMap())
-            sum.rehomedPrefixes = shards->rehomedPrefixes();
+        sum.rehomedPrefixes = system.shardMap()->rehomedPrefixes();
         if (McHealthMonitor *health = system.healthMonitor())
             sum.healthTransitions = health->totalTransitions();
     }
 
+    // The per-MC breakdown stays multi-MC only: a 1-MC result has no
+    // "mcs" block, so its campaign JSON keeps its historical bytes.
     result.numMcs = system.numMcs();
     if (system.numMcs() > 1) {
-        CrossMcRouter *router = system.crossMcRouter();
+        const CrossMcRouter &router = *system.crossMcRouter();
         for (unsigned m = 0; m < system.numMcs(); ++m) {
             McSummary mc;
             if (PageForgeDriver *driver = system.pfDriver()) {
                 mc.scans = driver->shardScans(m);
                 mc.merges = driver->shardMerges(m);
             }
-            if (router) {
-                mc.handoffsIn = router->handoffsTo(m);
-                mc.handoffsOut = router->handoffsFrom(m);
-                const Histogram &lat = router->latencyTo(m);
-                mc.handoffLatCount = lat.count();
-                if (lat.count()) {
-                    mc.handoffLatMeanTicks = lat.mean();
-                    mc.handoffLatMinTicks = lat.minSample();
-                    mc.handoffLatMaxTicks = lat.maxSample();
-                    mc.handoffLatP50Ticks = lat.quantile(0.50);
-                    mc.handoffLatP95Ticks = lat.quantile(0.95);
-                }
+            mc.handoffsIn = router.handoffsTo(m);
+            mc.handoffsOut = router.handoffsFrom(m);
+            const Histogram &lat = router.latencyTo(m);
+            mc.handoffLatCount = lat.count();
+            if (lat.count()) {
+                mc.handoffLatMeanTicks = lat.mean();
+                mc.handoffLatMinTicks = lat.minSample();
+                mc.handoffLatMaxTicks = lat.maxSample();
+                mc.handoffLatP50Ticks = lat.quantile(0.50);
+                mc.handoffLatP95Ticks = lat.quantile(0.95);
             }
             if (PageForgeModule *module = system.pfModule(m))
                 mc.tableOccupancy = module->table().validOthers();

@@ -33,23 +33,21 @@ System::System(const SystemConfig &config, const AppProfile &app)
     }
 
     // One sub-arena and one memory controller per channel; frame f
-    // homes on channel f % numMcs (the ShardMap interleave). At
-    // numMcs == 1 every structure below degenerates to the classic
-    // single-controller machine, bit for bit.
+    // homes on channel f % numMcs (the ShardMap interleave). Every MC
+    // count builds the same objects: a 1-MC machine is a one-shard
+    // machine whose router never carries a handoff.
     _mem = std::make_unique<PhysicalMemory>(frames, _config.numMcs);
+    std::vector<MemController *> mc_ptrs;
     for (unsigned m = 0; m < _config.numMcs; ++m) {
         _mcs.push_back(std::make_unique<MemController>(
             "mc" + std::to_string(m), _eq, *_mem, _config.dram));
+        mc_ptrs.push_back(_mcs.back().get());
     }
-    if (_config.numMcs > 1) {
-        _shardMap = std::make_unique<ShardMap>(_config.numMcs);
-        _router = std::make_unique<CrossMcRouter>(_config.numMcs);
-    }
+    _shardMap = std::make_unique<ShardMap>(_config.numMcs);
+    _router = std::make_unique<CrossMcRouter>(_config.numMcs);
     _hierarchy = std::make_unique<Hierarchy>(
         "chip", _eq, _config.numCores, _config.l1, _config.l2,
-        _config.l3, _config.bus, *_mcs[0]);
-    for (unsigned m = 1; m < _config.numMcs; ++m)
-        _hierarchy->addMemController(*_mcs[m]);
+        _config.l3, _config.bus, mc_ptrs);
     for (unsigned c = 0; c < _config.numCores; ++c) {
         _cores.push_back(std::make_unique<Core>(
             "core" + std::to_string(c), _eq,
@@ -84,20 +82,18 @@ System::System(const SystemConfig &config, const AppProfile &app)
         // One module + Scan Table per controller; the driver owns one
         // content-tree shard per module and routes each candidate to
         // the shard owning its content-key prefix.
+        std::vector<PageForgeApi *> api_ptrs;
         for (unsigned m = 0; m < _config.numMcs; ++m) {
             _pfModules.push_back(std::make_unique<PageForgeModule>(
                 "mc" + std::to_string(m) + ".pageforge", _eq, *_mcs[m],
                 *_hierarchy, _config.pfModule));
             _pfApis.push_back(
                 std::make_unique<PageForgeApi>(*_pfModules[m]));
+            api_ptrs.push_back(_pfApis.back().get());
         }
         _pfDriver = std::make_unique<PageForgeDriver>(
-            "pf_driver", _eq, *_hyper, *_pfApis[0], core_ptrs,
-            _config.pfDriver);
-        for (unsigned m = 1; m < _config.numMcs; ++m)
-            _pfDriver->addShardApi(*_pfApis[m]);
-        if (_shardMap)
-            _pfDriver->setShardRouting(*_shardMap, *_router);
+            "pf_driver", _eq, *_hyper, api_ptrs, *_shardMap, *_router,
+            core_ptrs, _config.pfDriver);
         break;
     }
 
@@ -108,10 +104,8 @@ System::System(const SystemConfig &config, const AppProfile &app)
         _oracle = std::make_unique<MergeOracle>();
         _hyper->setMergeOracle(_oracle.get());
         _faults = std::make_unique<FaultInjector>(
-            "fault_injector", _eq, *_mcs[0], *_hyper, _config.faults,
+            "fault_injector", _eq, mc_ptrs, *_hyper, _config.faults,
             _config.seed ^ 0x6661756c74ULL ^ _config.faults.seed);
-        for (unsigned m = 1; m < _config.numMcs; ++m)
-            _faults->addMemController(*_mcs[m]);
         if (_pfDriver) {
             _pfDriver->setFaultInjector(_faults.get());
             // Minikey-targeted flips track update_ECC_offset rotations.
@@ -122,7 +116,8 @@ System::System(const SystemConfig &config, const AppProfile &app)
             _faults->setScanTableCorruptor([this](Rng &rng) {
                 // The extra module-picking draw only exists on a
                 // multi-MC machine, so the single-MC fault stream is
-                // unchanged from the classic configuration.
+                // unchanged from the classic configuration (pinned by
+                // GoldenStats.FaultedPageForgeCellMatchesGoldenSnapshot).
                 PageForgeModule &module = _pfModules.size() == 1
                     ? *_pfModules[0]
                     : *_pfModules[static_cast<std::size_t>(
@@ -144,12 +139,10 @@ System::System(const SystemConfig &config, const AppProfile &app)
         }
         if (!_pfModules.empty() && _config.faults.mcWedgeRate > 0.0) {
             _watchdog = std::make_unique<ModuleWatchdog>(
-                "watchdog", _eq, _config.watchdog);
+                "watchdog", _eq, _config.watchdog, *_pfDriver,
+                *_shardMap);
             for (auto &module : _pfModules)
                 _watchdog->watchModule(*module);
-            _watchdog->setDriver(*_pfDriver);
-            if (_shardMap)
-                _watchdog->setShardMap(*_shardMap);
             _watchdog->onQuarantine([this](unsigned mc) {
                 _health->transition(mc, McHealth::Quarantined,
                                     "module wedge detected");
@@ -183,6 +176,7 @@ System::System(const SystemConfig &config, const AppProfile &app)
             // Recovering ones are being handled by the watchdog.
             _faults->setBrownoutHooks(
                 [this](Rng &rng) -> int {
+                    // No picking draw on a 1-MC machine, as above.
                     std::size_t pick = _mcs.size() == 1
                         ? 0
                         : static_cast<std::size_t>(
@@ -243,8 +237,7 @@ System::setupObservability()
         _pfDriver->attachProbe(_probes, TraceComponent::ScanTable);
     // The router is not a SimObject; enroll its probe directly so
     // cross-MC handoffs draw flow arrows on the Scan Table track.
-    if (_router)
-        _probes.enroll(_router->probe(), TraceComponent::ScanTable);
+    _probes.enroll(_router->probe(), TraceComponent::ScanTable);
     if (_lifecycle)
         _lifecycle->attachProbe(_probes, TraceComponent::Lifecycle);
     if (_faults)
@@ -330,10 +323,11 @@ System::setupObservability()
     }
 
     // Per-MC series, each on its own named Perfetto track so a
-    // multi-channel run shows one track per controller. Gated on
-    // numMcs > 1: the classic machine's trace is unchanged.
-    if (_config.numMcs > 1 && _pfDriver) {
-        for (unsigned m = 0; m < _config.numMcs; ++m) {
+    // multi-channel run shows one track per controller, then the
+    // handoff queue depth. Gated on numMcs > 1: a 1-MC machine's trace
+    // and sampled series keep their historical columns.
+    if (_config.numMcs > 1) {
+        for (unsigned m = 0; _pfDriver && m < _config.numMcs; ++m) {
             std::string track = "mc" + std::to_string(m);
             _metrics->add(track + "-merged-pages",
                           TraceComponent::ScanTable,
@@ -345,8 +339,6 @@ System::setupObservability()
                 return static_cast<double>(_pfDriver->shardScans(m));
             }, track);
         }
-    }
-    if (_router) {
         _metrics->add("handoff-queue-depth", TraceComponent::ScanTable,
                       [this] {
             return static_cast<double>(_router->depth(_eq.curTick()));
@@ -495,7 +487,7 @@ System::startLoad()
     // Arm the handoff link faults only now: synchronous warm-up passes
     // go through the reliable enqueue() path and must stay loss-free
     // (and draw-free) for determinism against the fault-free warmup.
-    if (_router && _config.faults.handoffFaultsEnabled()) {
+    if (_config.faults.handoffFaultsEnabled()) {
         _handoffRng = std::make_unique<Rng>(
             _config.seed ^ 0x68616e646f6666ULL ^ _config.faults.seed);
         HandoffFaultModel model;

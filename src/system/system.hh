@@ -75,7 +75,6 @@ class System : public VmHost
     // ---- component access ----
     EventQueue &eventq() { return _eq; }
     PhysicalMemory &memory() { return *_mem; }
-    MemController &memController() { return *_mcs[0]; }
     MemController &memController(unsigned mc) { return *_mcs[mc]; }
     unsigned numMcs() const
     {
@@ -127,7 +126,10 @@ class System : public VmHost
         return mc < _pfModules.size() ? _pfModules[mc].get() : nullptr;
     }
 
-    /** Null unless numMcs > 1 (a single-MC machine has no sharding). */
+    /**
+     * Never null: a 1-MC machine is a one-shard machine whose router
+     * carries no handoffs.
+     */
     ShardMap *shardMap() { return _shardMap.get(); }
     CrossMcRouter *crossMcRouter() { return _router.get(); }
 

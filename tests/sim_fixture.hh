@@ -1,7 +1,7 @@
 /**
  * @file
  * Shared test fixture: a small machine (memory, controller, caches,
- * cores, hypervisor) for daemon-level tests.
+ * cores, hypervisor, one-shard map and router) for daemon-level tests.
  */
 
 #ifndef PF_TESTS_SIM_FIXTURE_HH
@@ -18,6 +18,8 @@
 #include "cpu/scheduler.hh"
 #include "hyper/hypervisor.hh"
 #include "mem/mem_controller.hh"
+#include "shard/cross_mc_router.hh"
+#include "shard/shard_map.hh"
 
 namespace pageforge
 {
@@ -34,8 +36,8 @@ class SmallMachine : public ::testing::Test
                CacheConfig{"l1", 2 * 1024, 2, 2, 4},
                CacheConfig{"l2", 8 * 1024, 4, 6, 8},
                CacheConfig{"l3", 128 * 1024, 16, 20, 16},
-               BusConfig{}, mc),
-          hyper("hv", eq, mem)
+               BusConfig{}, {&mc}),
+          hyper("hv", eq, mem), shards(1), router(1)
     {
         // Audit frame refcounts against guest mappings after every
         // merge / CoW break / reclaim in every test on this fixture.
@@ -92,6 +94,9 @@ class SmallMachine : public ::testing::Test
     MemController mc;
     Hierarchy hier;
     Hypervisor hyper;
+    // A one-MC machine is a one-shard machine, as System builds it.
+    ShardMap shards;
+    CrossMcRouter router;
     std::vector<std::unique_ptr<Core>> cores;
 };
 

@@ -287,6 +287,17 @@ TEST(CampaignIdenticalTest, DetectsAnyFieldDifference)
     b.pagesScanned += 1;
     EXPECT_FALSE(identicalResults(a, b));
 
+    // Churn outcomes are simulated results like every other field.
+    b = a;
+    b.lifecycle.clones += 1;
+    EXPECT_FALSE(identicalResults(a, b));
+
+    a.phases.push_back(PhaseSnapshot{1000, 64, 96, 4});
+    b = a;
+    EXPECT_TRUE(identicalResults(a, b));
+    b.phases[0].framesUsed += 1;
+    EXPECT_FALSE(identicalResults(a, b));
+
     // Host wall-clock differs between any two runs; it must never
     // break the determinism contract.
     b = a;

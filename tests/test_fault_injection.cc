@@ -319,7 +319,7 @@ TEST_F(FaultInjectionTest, MergeRaceWriteDivergesTheCandidate)
 
     FaultConfig cfg;
     cfg.mergeRaceProb = 1.0;
-    FaultInjector inj("inj", eq, mc, hyper, cfg, 99);
+    FaultInjector inj("inj", eq, {&mc}, hyper, cfg, 99);
     inj.start();
 
     std::uint32_t version_before = hyper.vm(vm).page(0).writeVersion;

@@ -22,7 +22,7 @@ class HierarchyTest : public ::testing::Test
                CacheConfig{"l1", 1024, 2, 2, 4},
                CacheConfig{"l2", 4096, 4, 6, 8},
                CacheConfig{"l3", 64 * 1024, 16, 20, 16},
-               BusConfig{}, mc)
+               BusConfig{}, {&mc})
     {
         frame = mem.allocFrame();
     }

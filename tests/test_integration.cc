@@ -89,7 +89,7 @@ TEST(Integration, RefcountsConserveUnderPageForge)
     system.deploy();
     system.warmupDedup(6);
     checkRefcountConservation(system,
-                              &system.pfDriver()->stableTree());
+                              &system.pfDriver()->stableTree(0));
 
     system.startLoad();
     system.run(msToTicks(20));
@@ -99,7 +99,7 @@ TEST(Integration, RefcountsConserveUnderPageForge)
     system.pfDriver()->stop();
     system.run(msToTicks(10));
     checkRefcountConservation(system,
-                              &system.pfDriver()->stableTree());
+                              &system.pfDriver()->stableTree(0));
 }
 
 TEST(Integration, IdenticalSeedsGiveIdenticalRuns)

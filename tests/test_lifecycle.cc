@@ -165,7 +165,7 @@ class LifecycleDriverTest : public SmallMachine
   protected:
     LifecycleDriverTest()
         : module("pf", eq, mc, hier, PageForgeConfig{}), api(module),
-          driver("pfd", eq, hyper, api, corePtrs(),
+          driver("pfd", eq, hyper, {&api}, shards, router, corePtrs(),
                  PageForgeDriverConfig{})
     {
     }
@@ -185,15 +185,15 @@ TEST_F(LifecycleDriverTest, SynchronousPurgeDropsDeadVmEntries)
     }
     for (int pass = 0; pass < 4; ++pass)
         driver.runOnePassNow();
-    EXPECT_GT(driver.stableTree().size(), 0u);
+    EXPECT_GT(driver.stableTree(0).size(), 0u);
     std::size_t merged = mem.framesInUse();
 
     hyper.destroyVm(b);
     EXPECT_LE(mem.framesInUse(), merged);
-    driver.stableTree().forEach([&](PageHandle handle) {
+    driver.stableTree(0).forEach([&](PageHandle handle) {
         ASSERT_TRUE(mem.isAllocated(handleFrame(handle)));
     });
-    driver.unstableTree().forEach([&](PageHandle handle) {
+    driver.unstableTree(0).forEach([&](PageHandle handle) {
         if (isGuestHandle(handle))
             ASSERT_NE(handleGuest(handle).vm, b);
     });
@@ -220,11 +220,11 @@ TEST_F(LifecycleDriverTest, MidFlightDestroyAbortsTheBatchSafely)
     eq.runUntil(eq.curTick() + msToTicks(5));
 
     EXPECT_FALSE(hyper.vmAlive(b));
-    driver.unstableTree().forEach([&](PageHandle handle) {
+    driver.unstableTree(0).forEach([&](PageHandle handle) {
         if (isGuestHandle(handle))
             ASSERT_NE(handleGuest(handle).vm, b);
     });
-    driver.stableTree().forEach([&](PageHandle handle) {
+    driver.stableTree(0).forEach([&](PageHandle handle) {
         ASSERT_TRUE(mem.isAllocated(handleFrame(handle)));
     });
     // Source VM keeps serving merges afterwards.

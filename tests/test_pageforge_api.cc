@@ -156,8 +156,8 @@ TEST_F(DriverFaultTest, ScanningSurvivesScatteredEccFaults)
         mc.injectBitFlip(lineAddr(frame, 0), 5 + g);
     }
 
-    PageForgeDriver driver("pfd", eq, hyper, api, corePtrs(),
-                           PageForgeDriverConfig{});
+    PageForgeDriver driver("pfd", eq, hyper, {&api}, shards, router,
+                           corePtrs(), PageForgeDriverConfig{});
     driver.runOnePassNow();
     driver.runOnePassNow();
 

@@ -27,7 +27,8 @@ class PageForgeDriverTest : public SmallMachine
     makeDriver(PageForgeDriverConfig config = {})
     {
         return std::make_unique<PageForgeDriver>(
-            "pfd", eq, hyper, api, corePtrs(), config);
+            "pfd", eq, hyper, std::vector<PageForgeApi *>{&api}, shards,
+            router, corePtrs(), config);
     }
 
     PageForgeModule module;
@@ -82,7 +83,7 @@ TEST_F(PageForgeDriverTest, MatchesKsmMemorySavingsExactly)
                     CacheConfig{"l1", 2 * 1024, 2, 2, 4},
                     CacheConfig{"l2", 8 * 1024, 4, 6, 8},
                     CacheConfig{"l3", 128 * 1024, 16, 20, 16},
-                    BusConfig{}, mc2);
+                    BusConfig{}, {&mc2});
     Hypervisor hyper2("hv", eq2, mem2);
     std::vector<std::unique_ptr<Core>> cores2;
     std::vector<Core *> core_ptrs2;

@@ -406,7 +406,7 @@ class CowStormSweep : public ::testing::TestWithParam<std::uint64_t>
                CacheConfig{"l1", 2 * 1024, 2, 2, 4},
                CacheConfig{"l2", 8 * 1024, 4, 6, 8},
                CacheConfig{"l3", 128 * 1024, 16, 20, 16},
-               BusConfig{}, mc),
+               BusConfig{}, {&mc}),
           hyper("hv", eq, mem),
           sched("sched", eq, numCores, KsmPlacement::RoundRobin, 0.0,
                 Rng(1)),

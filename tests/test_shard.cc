@@ -101,9 +101,14 @@ TEST(ShardMap, ContentShardReadsLeadingBytesBigEndian)
     EXPECT_EQ(map.contentShardOf(page), shard);
     EXPECT_EQ(shard, map.contentShardOfPrefix(0xABCDu));
 
-    // Single-shard maps route everything to shard 0 without reading.
+    // A single-shard map owns the whole prefix space.
     ShardMap one(1);
-    EXPECT_EQ(one.contentShardOf(page), 0u);
+    for (std::uint32_t prefix = 0; prefix < 65536; ++prefix) {
+        page[0] = static_cast<std::uint8_t>(prefix >> 8);
+        page[1] = static_cast<std::uint8_t>(prefix);
+        ASSERT_EQ(one.contentShardOfPrefix(prefix), 0u) << prefix;
+        ASSERT_EQ(one.contentShardOf(page), 0u) << prefix;
+    }
 }
 
 TEST(CrossMcRouter, SerializesPerDestinationDeterministically)

@@ -9,7 +9,9 @@ its load, or its instruction set (the SIMD dispatch tiers are
 bit-identical by construction). This script enforces that contract for
 CI's dispatch-equivalence leg: a campaign run natively and one run
 under PF_FORCE_SCALAR=1 must produce byte-equal reports once the
-host-measurement fields are stripped.
+host-measurement fields are stripped. The same holds across worker
+counts, so the worker count itself (`jobs`) is stripped too: a
+`--jobs=1` campaign and a `--jobs=N` one must compare equal.
 
 Exit status: 0 identical, 1 different, 2 usage/IO error.
 """
@@ -17,8 +19,10 @@ Exit status: 0 identical, 1 different, 2 usage/IO error.
 import json
 import sys
 
-# Fields that measure the host rather than the simulated machine.
+# Fields that measure (or configure) the host rather than the
+# simulated machine.
 HOST_FIELDS = frozenset({
+    "jobs",
     "wall_seconds",
     "host_seconds",
     "host_ms",

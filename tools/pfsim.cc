@@ -589,28 +589,22 @@ main(int argc, char **argv)
                       std::to_string(system.pfDriver()->osChecks())});
     }
     if (system.numMcs() > 1) {
-        CrossMcRouter *router = system.crossMcRouter();
+        const CrossMcRouter &router = *system.crossMcRouter();
         for (unsigned m = 0; m < system.numMcs(); ++m) {
             std::string label = "mc" + std::to_string(m);
             std::string row;
             if (PageForgeDriver *driver = system.pfDriver()) {
                 row += "scans=" +
                     std::to_string(driver->shardScans(m)) +
-                    " merges=" + std::to_string(driver->shardMerges(m));
+                    " merges=" + std::to_string(driver->shardMerges(m)) +
+                    " ";
             }
-            if (router) {
-                if (!row.empty())
-                    row += " ";
-                row += "handoffs_in=" +
-                    std::to_string(router->handoffsTo(m)) +
-                    " handoffs_out=" +
-                    std::to_string(router->handoffsFrom(m));
-            }
+            row += "handoffs_in=" + std::to_string(router.handoffsTo(m)) +
+                " handoffs_out=" + std::to_string(router.handoffsFrom(m));
             table.addRow({label, row});
         }
-        if (router)
-            table.addRow({"cross-MC handoffs",
-                          std::to_string(router->totalHandoffs())});
+        table.addRow({"cross-MC handoffs",
+                      std::to_string(router.totalHandoffs())});
     }
     if (LifecycleManager *lc = system.lifecycle()) {
         const LifecycleStats &ls = lc->stats();
@@ -681,23 +675,18 @@ main(int argc, char **argv)
             table.addRow({"fault: channel brownouts",
                           std::to_string(fs.brownouts)});
         }
-        if (CrossMcRouter *router = system.crossMcRouter()) {
-            if (router->handoffsLost() || router->handoffsCorrupted() ||
-                router->handoffsSpiked()) {
-                table.addRow({"handoffs lost / corrupted / spiked",
-                              std::to_string(router->handoffsLost()) +
-                                  " / " +
-                                  std::to_string(
-                                      router->handoffsCorrupted()) +
-                                  " / " +
-                                  std::to_string(
-                                      router->handoffsSpiked())});
-                table.addRow({"handoff retries / dead letters",
-                              std::to_string(router->handoffRetries()) +
-                                  " / " +
-                                  std::to_string(
-                                      router->handoffDeadLetters())});
-            }
+        const CrossMcRouter &router = *system.crossMcRouter();
+        if (router.handoffsLost() || router.handoffsCorrupted() ||
+            router.handoffsSpiked()) {
+            table.addRow({"handoffs lost / corrupted / spiked",
+                          std::to_string(router.handoffsLost()) + " / " +
+                              std::to_string(router.handoffsCorrupted()) +
+                              " / " +
+                              std::to_string(router.handoffsSpiked())});
+            table.addRow({"handoff retries / dead letters",
+                          std::to_string(router.handoffRetries()) +
+                              " / " +
+                              std::to_string(router.handoffDeadLetters())});
         }
         if (ModuleWatchdog *dog = system.watchdog()) {
             table.addRow({"wedges detected / restarts",
@@ -734,9 +723,8 @@ main(int argc, char **argv)
         const MergeOracle *oracle = system.mergeOracle();
         // New fields must stay BEFORE oracle_violations: CI greps for
         // "oracle_violations=0$" at end of line.
-        const CrossMcRouter *router = system.crossMcRouter();
+        const CrossMcRouter &router = *system.crossMcRouter();
         const ModuleWatchdog *dog = system.watchdog();
-        const ShardMap *shards = system.shardMap();
         std::cout << "pfsim: fault summary:"
                   << " flips=" << fs.flipEvents
                   << " corrected=" << ecc_corrected
@@ -752,11 +740,11 @@ main(int argc, char **argv)
                   << " mc_wedges=" << fs.mcWedges
                   << " brownouts=" << fs.brownouts
                   << " handoffs_lost="
-                  << (router ? router->handoffsLost() : 0)
+                  << router.handoffsLost()
                   << " handoff_retries="
-                  << (router ? router->handoffRetries() : 0)
+                  << router.handoffRetries()
                   << " handoff_dead_letters="
-                  << (router ? router->handoffDeadLetters() : 0)
+                  << router.handoffDeadLetters()
                   << " wedges_detected="
                   << (dog ? dog->wedgesDetected() : 0)
                   << " module_restarts="
@@ -765,7 +753,7 @@ main(int argc, char **argv)
                   << " readmissions="
                   << (dog ? dog->readmissions() : 0)
                   << " rehomed_prefixes="
-                  << (shards ? shards->rehomedPrefixes() : 0)
+                  << system.shardMap()->rehomedPrefixes()
                   << " oracle_checks="
                   << (oracle ? oracle->checks() : 0)
                   << " cross_mc_checks="
