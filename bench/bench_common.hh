@@ -7,10 +7,7 @@
  *   --scale=X      memory-image scale factor (default 0.25)
  *   --queries=N    target queries per measurement window
  *   --seed=S       experiment seed
- *   --jobs=N       parallel campaign workers (default: all cores;
- *                  exception: bench_simspeed defaults to 1, because it
- *                  measures wall-clock and parallel workers make the
- *                  per-cell timings incomparable)
+ *   --jobs=N       parallel campaign workers (default: all cores)
  *   --num-mcs=N    memory controllers per simulated machine (default 1)
  *
  * Harnesses that sweep the (app x mode) matrix obtain their rows from

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <mutex>
 #include <ostream>
+#include <sstream>
 #include <thread>
 
 #include "prof/profiler.hh"
@@ -118,6 +118,8 @@ runCampaign(const CampaignSpec &spec)
         jobs, std::max<std::size_t>(matrix.size(), 1)));
     report.jobs = jobs;
     report.numMcs = spec.sysTemplate.numMcs;
+    report.memScale = spec.experiment.memScale;
+    report.targetQueries = spec.experiment.targetQueries;
 
     auto start = std::chrono::steady_clock::now();
 
@@ -179,134 +181,6 @@ runCampaign(const CampaignSpec &spec)
 namespace
 {
 
-bool
-sameBits(double a, double b)
-{
-    return std::bit_cast<std::uint64_t>(a) ==
-        std::bit_cast<std::uint64_t>(b);
-}
-
-bool
-sameDup(const DupAnalysis &a, const DupAnalysis &b)
-{
-    return a.mappedPages == b.mappedPages &&
-        a.unmergeable == b.unmergeable &&
-        a.mergeableZero == b.mergeableZero &&
-        a.mergeableNonZero == b.mergeableNonZero &&
-        a.framesUsed == b.framesUsed &&
-        a.framesIfFullyMerged == b.framesIfFullyMerged;
-}
-
-bool
-sameFaults(const FaultSummary &a, const FaultSummary &b)
-{
-    return a.enabled == b.enabled && a.flipEvents == b.flipEvents &&
-        a.singleBitFlips == b.singleBitFlips &&
-        a.doubleBitFlips == b.doubleBitFlips &&
-        a.stuckAtFaults == b.stuckAtFaults &&
-        a.minikeyTargeted == b.minikeyTargeted &&
-        a.tableCorruptions == b.tableCorruptions &&
-        a.raceWrites == b.raceWrites &&
-        a.skippedNoTarget == b.skippedNoTarget &&
-        a.correctedErrors == b.correctedErrors &&
-        a.uncorrectableErrors == b.uncorrectableErrors &&
-        a.poisonedFrames == b.poisonedFrames &&
-        a.quarantinedFrames == b.quarantinedFrames &&
-        a.falseKeyMatches == b.falseKeyMatches &&
-        a.offsetRotations == b.offsetRotations &&
-        a.mergeAborts == b.mergeAborts &&
-        a.mergeRetries == b.mergeRetries &&
-        a.hwHashRaces == b.hwHashRaces &&
-        a.oracleChecks == b.oracleChecks &&
-        a.crossMcChecks == b.crossMcChecks &&
-        a.oracleViolations == b.oracleViolations &&
-        a.mcWedgesInjected == b.mcWedgesInjected &&
-        a.brownouts == b.brownouts &&
-        a.handoffsLost == b.handoffsLost &&
-        a.handoffsCorrupted == b.handoffsCorrupted &&
-        a.handoffsSpiked == b.handoffsSpiked &&
-        a.handoffRetries == b.handoffRetries &&
-        a.handoffDeadLetters == b.handoffDeadLetters &&
-        a.wedgesDetected == b.wedgesDetected &&
-        a.moduleRestarts == b.moduleRestarts &&
-        a.failovers == b.failovers &&
-        a.readmissions == b.readmissions &&
-        a.rehomedPrefixes == b.rehomedPrefixes &&
-        a.healthTransitions == b.healthTransitions;
-}
-
-bool
-samePhases(const std::vector<PhaseSnapshot> &a,
-           const std::vector<PhaseSnapshot> &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (a[i].tick != b[i].tick || a[i].framesUsed != b[i].framesUsed ||
-            a[i].mappedPages != b[i].mappedPages ||
-            a[i].liveVms != b[i].liveVms)
-            return false;
-    }
-    return true;
-}
-
-bool
-sameLifecycle(const LifecycleSummary &a, const LifecycleSummary &b)
-{
-    return a.enabled == b.enabled && a.clones == b.clones &&
-        a.boots == b.boots && a.shutdowns == b.shutdowns &&
-        a.skippedArrivals == b.skippedArrivals &&
-        a.framesFreed == b.framesFreed &&
-        sameBits(a.meanUnmergeStorm, b.meanUnmergeStorm) &&
-        sameBits(a.meanReclaimUs, b.meanReclaimUs) &&
-        sameBits(a.meanRecoveryMs, b.meanRecoveryMs) &&
-        sameBits(a.p95RecoveryMs, b.p95RecoveryMs) &&
-        a.recoveryTimeouts == b.recoveryTimeouts;
-}
-
-bool
-samePerMc(const std::vector<McSummary> &a,
-          const std::vector<McSummary> &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (a[i].scans != b[i].scans || a[i].merges != b[i].merges ||
-            a[i].handoffsIn != b[i].handoffsIn ||
-            a[i].handoffsOut != b[i].handoffsOut ||
-            a[i].tableOccupancy != b[i].tableOccupancy ||
-            a[i].handoffLatCount != b[i].handoffLatCount ||
-            !sameBits(a[i].handoffLatMeanTicks,
-                      b[i].handoffLatMeanTicks) ||
-            !sameBits(a[i].handoffLatMinTicks,
-                      b[i].handoffLatMinTicks) ||
-            !sameBits(a[i].handoffLatMaxTicks,
-                      b[i].handoffLatMaxTicks) ||
-            !sameBits(a[i].handoffLatP50Ticks,
-                      b[i].handoffLatP50Ticks) ||
-            !sameBits(a[i].handoffLatP95Ticks,
-                      b[i].handoffLatP95Ticks) ||
-            a[i].health != b[i].health ||
-            a[i].healthTransitions != b[i].healthTransitions ||
-            a[i].wedges != b[i].wedges ||
-            a[i].quarantines != b[i].quarantines ||
-            a[i].readmissions != b[i].readmissions)
-            return false;
-    }
-    return true;
-}
-
-bool
-sameHashStats(const HashKeyStats &a, const HashKeyStats &b)
-{
-    return a.jhashMatches == b.jhashMatches &&
-        a.jhashMismatches == b.jhashMismatches &&
-        a.jhashFalseMatches == b.jhashFalseMatches &&
-        a.eccMatches == b.eccMatches &&
-        a.eccMismatches == b.eccMismatches &&
-        a.eccFalseMatches == b.eccFalseMatches;
-}
-
 // ---- JSON helpers (minimal, stable field order) ----
 
 void
@@ -366,8 +240,15 @@ jsonDup(std::ostream &os, const DupAnalysis &dup)
        << "}";
 }
 
+/**
+ * One result as JSON. @p handoff_latency writes the per-MC
+ * handoff-latency block; campaign JSON passes prof::enabled() so
+ * profiling-off output stays byte-identical to earlier builds, and
+ * identicalResults() always passes true.
+ */
 void
-jsonResult(std::ostream &os, const ExperimentResult &r)
+jsonResult(std::ostream &os, const ExperimentResult &r,
+           bool handoff_latency)
 {
     os << "{\"mean_sojourn_ms\":";
     jsonDouble(os, r.meanSojournMs);
@@ -455,6 +336,36 @@ jsonResult(std::ostream &os, const ExperimentResult &r)
            << ",\"health_transitions\":" << f.healthTransitions
            << "}";
     }
+    // Only present on churn runs, so static campaign JSON stays
+    // byte-identical.
+    if (r.lifecycle.enabled) {
+        const LifecycleSummary &l = r.lifecycle;
+        os << ",\"lifecycle\":{\"clones\":" << l.clones
+           << ",\"boots\":" << l.boots
+           << ",\"shutdowns\":" << l.shutdowns
+           << ",\"skipped_arrivals\":" << l.skippedArrivals
+           << ",\"frames_freed\":" << l.framesFreed;
+        os << ",\"mean_unmerge_storm\":";
+        jsonDouble(os, l.meanUnmergeStorm);
+        os << ",\"mean_reclaim_us\":";
+        jsonDouble(os, l.meanReclaimUs);
+        os << ",\"mean_recovery_ms\":";
+        jsonDouble(os, l.meanRecoveryMs);
+        os << ",\"p95_recovery_ms\":";
+        jsonDouble(os, l.p95RecoveryMs);
+        os << ",\"recovery_timeouts\":" << l.recoveryTimeouts << "}";
+        os << ",\"phases\":[";
+        for (std::size_t i = 0; i < r.phases.size(); ++i) {
+            const PhaseSnapshot &p = r.phases[i];
+            if (i)
+                os << ",";
+            os << "{\"tick\":" << p.tick
+               << ",\"frames_used\":" << p.framesUsed
+               << ",\"mapped_pages\":" << p.mappedPages
+               << ",\"live_vms\":" << p.liveVms << "}";
+        }
+        os << "]";
+    }
     // Only present on a multi-MC machine, so single-controller
     // campaign JSON stays byte-identical to earlier versions.
     if (r.numMcs > 1) {
@@ -481,11 +392,7 @@ jsonResult(std::ostream &os, const ExperimentResult &r)
                    << ",\"quarantines\":" << mc.quarantines
                    << ",\"readmissions\":" << mc.readmissions;
             }
-            // The latency distribution is simulated (deterministic)
-            // data, but it only reaches the JSON on profiling runs so
-            // profiling-off campaign output stays byte-identical to
-            // earlier builds.
-            if (prof::enabled()) {
+            if (handoff_latency) {
                 os << ",\"handoff_latency\":{\"count\":"
                    << mc.handoffLatCount;
                 os << ",\"mean_ticks\":";
@@ -518,36 +425,18 @@ jsonResult(std::ostream &os, const ExperimentResult &r)
 bool
 identicalResults(const ExperimentResult &a, const ExperimentResult &b)
 {
-    return a.app == b.app && a.mode == b.mode &&
-        sameBits(a.meanSojournMs, b.meanSojournMs) &&
-        sameBits(a.p95SojournMs, b.p95SojournMs) &&
-        a.queries == b.queries && sameDup(a.dup, b.dup) &&
-        sameDup(a.dupBefore, b.dupBefore) &&
-        sameDup(a.dupWarm, b.dupWarm) &&
-        sameBits(a.l3MissRate, b.l3MissRate) &&
-        sameBits(a.l3AppMissRate, b.l3AppMissRate) &&
-        sameBits(a.ksmCycleFracAvg, b.ksmCycleFracAvg) &&
-        sameBits(a.ksmCycleFracMax, b.ksmCycleFracMax) &&
-        sameBits(a.ksmCompareFrac, b.ksmCompareFrac) &&
-        sameBits(a.ksmHashFrac, b.ksmHashFrac) &&
-        sameHashStats(a.hashStats, b.hashStats) &&
-        sameBits(a.baselinePhaseBwGBps, b.baselinePhaseBwGBps) &&
-        sameBits(a.dedupPhaseBwGBps, b.dedupPhaseBwGBps) &&
-        sameBits(a.pfBatchCyclesAvg, b.pfBatchCyclesAvg) &&
-        sameBits(a.pfBatchCyclesStddev, b.pfBatchCyclesStddev) &&
-        a.pfRefills == b.pfRefills && a.pfOsChecks == b.pfOsChecks &&
-        a.pfPagesScanned == b.pfPagesScanned && a.merges == b.merges &&
-        a.cowBreaks == b.cowBreaks && a.simEvents == b.simEvents &&
-        a.pagesScanned == b.pagesScanned &&
-        samePhases(a.phases, b.phases) &&
-        sameLifecycle(a.lifecycle, b.lifecycle) &&
-        sameFaults(a.faults, b.faults) && a.numMcs == b.numMcs &&
-        samePerMc(a.perMc, b.perMc);
-    // hostSeconds is host wall-clock, never part of result identity.
-    // The metrics series is also excluded: it is observability output
-    // whose presence depends on the sampling interval, and the
-    // metrics-on/off identity contract is exactly "everything else
-    // matches" (MetricsDoNotPerturbResults).
+    // Host wall-clock differs between any two runs, and the metrics
+    // series is observability output whose presence depends on the
+    // sampling interval (MetricsDoNotPerturbResults); neither is part
+    // of the result.
+    auto text = [](ExperimentResult r) {
+        r.hostSeconds = 0.0;
+        r.metrics = MetricsSeries{};
+        std::ostringstream os;
+        jsonResult(os, r, /*handoff_latency=*/true);
+        return os.str();
+    };
+    return a.app == b.app && a.mode == b.mode && text(a) == text(b);
 }
 
 void
@@ -571,7 +460,7 @@ writeCampaignJson(const CampaignReport &report, std::ostream &os)
         os << ",\"ok\":" << (outcome.ok ? "true" : "false");
         if (outcome.ok) {
             os << ",\"result\":";
-            jsonResult(os, outcome.result);
+            jsonResult(os, outcome.result, prof::enabled());
         } else {
             os << ",\"error\":";
             jsonString(os, outcome.error);
@@ -610,11 +499,16 @@ writePerfReport(const CampaignReport &report, std::ostream &os,
         peak_rss = std::max(peak_rss, outcome.peakRssKb);
     }
 
-    // A gate keys entries on (num_mcs, jobs). Legacy v2 entries also
-    // carry "lanes"; v1 entries have no num_mcs, implying 1 MC.
+    // A gate keys entries on (num_mcs, jobs) and refuses a workload
+    // (mem_scale, target_queries) other than the baseline's. Legacy v2
+    // entries also carry "lanes"; v1 entries have no num_mcs, implying
+    // 1 MC.
     os << "{\"schema\":\"pageforge-simspeed-v3\"";
     os << ",\"jobs\":" << report.jobs;
     os << ",\"num_mcs\":" << report.numMcs;
+    os << ",\"mem_scale\":";
+    jsonDouble(os, report.memScale);
+    os << ",\"target_queries\":" << report.targetQueries;
     os << ",\"wall_seconds\":";
     jsonDouble(os, report.wallSeconds);
     if (baseline_seconds > 0.0) {

@@ -116,6 +116,8 @@ struct CampaignReport
     double wallSeconds = 0.0; //!< host wall-clock of the whole run
     unsigned jobs = 0;        //!< workers actually used
     unsigned numMcs = 1;      //!< sysTemplate.numMcs of the run
+    double memScale = 1.0;    //!< experiment.memScale of the run
+    std::uint64_t targetQueries = 0; //!< experiment.targetQueries
 
     /** Number of cells that failed. */
     std::size_t failures() const;
@@ -150,10 +152,12 @@ CampaignReport runCampaign(const CampaignSpec &spec);
 void writeCampaignJson(const CampaignReport &report, std::ostream &os);
 
 /**
- * Field-exact equality of two results (doubles compared bit-wise):
- * the determinism contract parallel execution must preserve. Host
- * wall-clock fields (hostSeconds) are deliberately excluded — they
- * differ between any two runs.
+ * Result identity: the determinism contract parallel execution must
+ * preserve. Two results are identical when app and mode match and
+ * their campaign-JSON text is byte-equal (doubles are written with
+ * %.17g, which round-trips every finite value and tells -0.0 from
+ * 0.0). The per-MC handoff-latency block is always compared; host
+ * wall-clock (hostSeconds) and the sampled metrics series are not.
  */
 bool identicalResults(const ExperimentResult &a,
                       const ExperimentResult &b);
@@ -161,8 +165,9 @@ bool identicalResults(const ExperimentResult &a,
 /**
  * Serialize a simulation-speed report (BENCH_simspeed.json): one row
  * per cell with host wall-clock, events/sec, pages-scanned/sec and
- * peak RSS, plus campaign totals. Shared by `pfsim --perf-report`
- * and the bench_simspeed harness.
+ * peak RSS, plus campaign totals, and the workload (mem_scale,
+ * target_queries) a gate must match along with (num_mcs, jobs).
+ * Written by `pfsim --campaign --perf-report`.
  *
  * @param baseline_seconds pre-optimization wall-clock of the same
  *        matrix for the speedup field; <= 0 omits the comparison.

@@ -40,26 +40,12 @@ ExperimentConfig::validate(const AppProfile &app) const
         throw ConfigError("targetQueries must be at least 1");
     if (minMeasure > maxMeasure)
         throw ConfigError("minMeasure exceeds maxMeasure");
-    std::string churn_problem = churn.problem();
-    if (!churn_problem.empty())
-        throw ConfigError(churn_problem);
-    std::string lifecycle_problem = lifecycle.problem();
-    if (!lifecycle_problem.empty())
-        throw ConfigError(lifecycle_problem);
-    std::string fault_problem = faults.problem();
-    if (!fault_problem.empty())
-        throw ConfigError(fault_problem);
 }
 
-ExperimentResult
-runExperiment(const AppProfile &app, DedupMode mode,
-              const ExperimentConfig &cfg,
-              const SystemConfig &sys_template)
+SystemConfig
+experimentSystemConfig(DedupMode mode, const ExperimentConfig &cfg,
+                       const SystemConfig &sys_template)
 {
-    cfg.validate(app);
-
-    auto host_start = std::chrono::steady_clock::now();
-
     SystemConfig sys_cfg = sys_template;
     sys_cfg.mode = mode;
     sys_cfg.memScale = cfg.memScale;
@@ -88,8 +74,32 @@ runExperiment(const AppProfile &app, DedupMode mode,
         sys_cfg.l3.sizeBytes = scaled(defaults.l3.sizeBytes,
                                       cfg.memScale / 2.0, 1024 * 1024);
     }
+    return sys_cfg;
+}
 
+ExperimentResult
+runExperiment(const AppProfile &app, DedupMode mode,
+              const ExperimentConfig &cfg,
+              const SystemConfig &sys_template)
+{
+    cfg.validate(app);
+    SystemConfig sys_cfg = experimentSystemConfig(mode, cfg, sys_template);
+    sys_cfg.validate();
+
+    auto host_start = std::chrono::steady_clock::now();
     System system(sys_cfg, app);
+    ExperimentResult result = runExperiment(system, cfg);
+    result.hostSeconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      host_start)
+            .count();
+    return result;
+}
+
+ExperimentResult
+runExperiment(System &system, const ExperimentConfig &cfg)
+{
+    const DedupMode mode = system.config().mode;
     system.deploy();
     DupAnalysis dup_before = system.hypervisor().analyzeDuplication();
 
@@ -106,12 +116,13 @@ runExperiment(const AppProfile &app, DedupMode mode,
     std::uint64_t merges_before = system.hypervisor().merges();
     std::uint64_t cow_before = system.hypervisor().cowBreaks();
 
-    Tick window = cfg.measureWindow(system.profile(), sys_cfg.numVms);
+    const unsigned num_vms = system.config().numVms;
+    Tick window = cfg.measureWindow(system.profile(), num_vms);
     Tick window_start = system.eventq().curTick();
 
     // ---- collect ----
     ExperimentResult result;
-    result.app = app.name;
+    result.app = system.profile().name;
     result.mode = mode;
 
     if (system.lifecycle()) {
@@ -125,7 +136,7 @@ runExperiment(const AppProfile &app, DedupMode mode,
                 system.eventq().curTick(),
                 system.memory().framesInUse(),
                 system.hypervisor().mappedPageCount(),
-                sys_cfg.numVms + system.lifecycle()->liveDynamicVms()});
+                num_vms + system.lifecycle()->liveDynamicVms()});
         }
         system.run(window - (window / slices) * slices);
     } else {
@@ -332,10 +343,6 @@ runExperiment(const AppProfile &app, DedupMode mode,
       case DedupMode::None:
         break;
     }
-    result.hostSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      host_start)
-            .count();
     return result;
 }
 

@@ -74,7 +74,9 @@ struct ExperimentConfig
 
     /**
      * Throw ConfigError on nonsensical values (including the
-     * application profile the experiment will run).
+     * application profile the experiment will run). The churn,
+     * lifecycle and fault knobs are checked by SystemConfig::validate()
+     * on experimentSystemConfig()'s output.
      */
     void validate(const AppProfile &app) const;
 };
@@ -296,7 +298,19 @@ struct ExperimentResult
 };
 
 /**
- * Run one full experiment.
+ * The SystemConfig an experiment runs on: @p sys_template with the
+ * mode, scale, seed, churn, lifecycle, fault, audit and observability
+ * fields taken from @p cfg, and the L2/L3 capacities scaled with the
+ * memory image (see ExperimentConfig::scaleCaches).
+ */
+SystemConfig experimentSystemConfig(DedupMode mode,
+                                    const ExperimentConfig &cfg,
+                                    const SystemConfig &sys_template = {});
+
+/**
+ * Run one full experiment: validate, build the System from
+ * experimentSystemConfig(), run it, and time the whole run
+ * (hostSeconds).
  *
  * @param app application profile (one VM per core, all identical)
  * @param mode Baseline / KSM / PageForge
@@ -307,6 +321,14 @@ struct ExperimentResult
 ExperimentResult runExperiment(const AppProfile &app, DedupMode mode,
                                const ExperimentConfig &cfg,
                                const SystemConfig &sys_template = {});
+
+/**
+ * Run the measurement phases on a freshly built @p system: deploy,
+ * warm-up, settle, window, collect. The caller validates @p cfg and
+ * keeps the System, so it can inspect the machine afterwards
+ * (pfsim's --dump-stats). hostSeconds is left at zero.
+ */
+ExperimentResult runExperiment(System &system, const ExperimentConfig &cfg);
 
 } // namespace pageforge
 

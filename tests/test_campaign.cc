@@ -11,6 +11,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "prof/profiler.hh"
 #include "system/campaign.hh"
 
 namespace pageforge
@@ -287,7 +288,21 @@ TEST(CampaignIdenticalTest, DetectsAnyFieldDifference)
     b.pagesScanned += 1;
     EXPECT_FALSE(identicalResults(a, b));
 
-    // Churn outcomes are simulated results like every other field.
+    b = a;
+    b.dup.framesUsed += 1;
+    EXPECT_FALSE(identicalResults(a, b));
+
+    // Doubles compare bit-exact: -0.0 == 0.0 as values, not as bits.
+    b = a;
+    a.meanSojournMs = 0.0;
+    b.meanSojournMs = -0.0;
+    EXPECT_FALSE(identicalResults(a, b));
+    b.meanSojournMs = 0.0;
+    EXPECT_TRUE(identicalResults(a, b));
+
+    // Churn outcomes are simulated results like every other field
+    // (a churn run is one with lifecycle.enabled).
+    a.lifecycle.enabled = true;
     b = a;
     b.lifecycle.clones += 1;
     EXPECT_FALSE(identicalResults(a, b));
@@ -298,11 +313,65 @@ TEST(CampaignIdenticalTest, DetectsAnyFieldDifference)
     b.phases[0].framesUsed += 1;
     EXPECT_FALSE(identicalResults(a, b));
 
+    // Fault outcomes of a fault run.
+    a.faults.enabled = true;
+    b = a;
+    b.faults.oracleViolations += 1;
+    EXPECT_FALSE(identicalResults(a, b));
+
+    // Per-MC outcomes of a multi-MC run. The handoff-latency block
+    // only reaches campaign JSON on profiling runs; identity compares
+    // it regardless.
+    ASSERT_FALSE(prof::enabled());
+    a.numMcs = 2;
+    a.perMc.resize(2);
+    b = a;
+    EXPECT_TRUE(identicalResults(a, b));
+    b.perMc[0].handoffLatP95Ticks += 1.0;
+    EXPECT_FALSE(identicalResults(a, b));
+    b = a;
+    b.perMc[0].health = "Healthy";
+    EXPECT_FALSE(identicalResults(a, b));
+
     // Host wall-clock differs between any two runs; it must never
     // break the determinism contract.
     b = a;
     b.hostSeconds = a.hostSeconds + 1.0;
     EXPECT_TRUE(identicalResults(a, b));
+
+    // Nor does a sampled metrics series on one side only.
+    b = a;
+    b.metrics.names = {"frames_used"};
+    b.metrics.ticks = {1000};
+    b.metrics.rows = {{64.0}};
+    EXPECT_TRUE(identicalResults(a, b));
+}
+
+TEST(CampaignJsonTest, LifecycleAndPhasesOnlyOnChurnRuns)
+{
+    auto cellJson = [](const ExperimentResult &result) {
+        CampaignSpec spec;
+        spec.apps = {result.app};
+        spec.modes = {result.mode};
+        spec.jobs = 1;
+        spec.runner = [&result](const CampaignCell &) { return result; };
+        std::ostringstream os;
+        writeCampaignJson(runCampaign(spec), os);
+        return os.str();
+    };
+
+    ExperimentResult churn = fakeResult({"churn", DedupMode::Ksm, 42});
+    churn.lifecycle.enabled = true;
+    churn.lifecycle.clones = 3;
+    churn.phases.push_back(PhaseSnapshot{1000, 64, 96, 11});
+    std::string json = cellJson(churn);
+    EXPECT_NE(json.find("\"lifecycle\":{\"clones\":3,"), std::string::npos);
+    EXPECT_NE(json.find("\"phases\":[{\"tick\":1000,"), std::string::npos);
+
+    ExperimentResult fixed = fakeResult({"static", DedupMode::Ksm, 42});
+    json = cellJson(fixed);
+    EXPECT_EQ(json.find("\"lifecycle\""), std::string::npos);
+    EXPECT_EQ(json.find("\"phases\""), std::string::npos);
 }
 
 TEST(CampaignPerfReportTest, PerfReportHasRatesAndSpeedup)

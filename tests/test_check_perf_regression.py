@@ -8,10 +8,12 @@ FIXTURE_DIR and asserts one exit code per case:
 
   1  a report twice as slow as its baseline (wall seconds);
   2  a report whose jobs count has no baseline entry;
+  2  a report of another workload (mem_scale 0.08) than its baseline;
   0  a report equal to its baseline.
 
-The baseline fixture is a legacy v2 entry (it carries "lanes"), so the
-equal case also covers reading legacy entries as serial runs.
+The baseline fixture is a legacy v2 entry (it carries "lanes" and no
+workload fields), so the equal case also covers reading legacy entries
+as serial runs of pfsim's default workload.
 """
 
 import json
@@ -43,9 +45,16 @@ def main(argv):
         jobs4 = pathlib.Path(tmp) / "jobs4.json"
         jobs4.write_text(json.dumps(report), encoding="utf-8")
 
+        # Same report, but of a smaller workload.
+        report = json.loads(baseline.read_text(encoding="utf-8"))[0]
+        report["mem_scale"] = 0.08
+        smaller = pathlib.Path(tmp) / "smaller.json"
+        smaller.write_text(json.dumps(report), encoding="utf-8")
+
         cases = [
             ("2x slower", fixtures / "slower.json", 1),
             ("jobs mismatch", jobs4, 2),
+            ("workload mismatch", smaller, 2),
             ("equal", baseline, 0),
         ]
         failures = 0

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "system/experiment.hh"
 
 namespace pageforge
@@ -45,31 +47,52 @@ TEST(ExperimentConfigTest, WindowScalesWithVmCount)
 
 TEST(ExperimentRunTest, CacheScalingAppliesOnlyToDefaults)
 {
-    // Custom cache sizes in the template must survive runExperiment;
-    // check by running a tiny experiment with deliberately odd sizes
-    // and verifying it executes (the sizes are only observable
-    // indirectly, so this is a smoke check of the code path).
     ExperimentConfig cfg;
-    cfg.memScale = 0.03;
-    cfg.warmupPasses = 2;
-    cfg.settleTime = msToTicks(2);
-    cfg.targetQueries = 50;
-    cfg.minMeasure = msToTicks(10);
-    cfg.maxMeasure = msToTicks(20);
+    cfg.memScale = 0.2;
 
+    // The Table 2 template shrinks with the image: L2 by 2x the scale,
+    // L3 by half of it, each above a floor.
+    const SystemConfig defaults;
+    SystemConfig scaled =
+        experimentSystemConfig(DedupMode::PageForge, cfg, defaults);
+    EXPECT_EQ(defaults.l2.sizeBytes, 256u * 1024);
+    EXPECT_EQ(defaults.l3.sizeBytes, 32u * 1024 * 1024);
+    EXPECT_EQ(scaled.l2.sizeBytes,
+              std::max<std::uint32_t>(
+                  64 * 1024,
+                  static_cast<std::uint32_t>(256 * 1024 * 0.4)));
+    EXPECT_EQ(scaled.l3.sizeBytes,
+              std::max<std::uint32_t>(
+                  1024 * 1024,
+                  static_cast<std::uint32_t>(32 * 1024 * 1024 * 0.1)));
+    EXPECT_EQ(scaled.mode, DedupMode::PageForge);
+    EXPECT_EQ(scaled.memScale, 0.2);
+
+    auto unchanged = [](const SystemConfig &in, const SystemConfig &out) {
+        EXPECT_EQ(out.l2.sizeBytes, in.l2.sizeBytes);
+        EXPECT_EQ(out.l3.sizeBytes, in.l3.sizeBytes);
+    };
+
+    // Custom cache sizes in the template stay as given.
     SystemConfig custom;
-    custom.numCores = 2;
-    custom.numVms = 2;
-    custom.l1 = CacheConfig{"l1", 4 * 1024, 2, 2, 4};
     custom.l2 = CacheConfig{"l2", 16 * 1024, 4, 6, 8};
     custom.l3 = CacheConfig{"l3", 128 * 1024, 16, 20, 16};
+    unchanged(custom, experimentSystemConfig(DedupMode::None, cfg, custom));
 
-    AppProfile app = appByName("masstree");
-    app.qps = 500;
-    ExperimentResult result =
-        runExperiment(app, DedupMode::None, cfg, custom);
-    EXPECT_GT(result.queries, 0u);
-    EXPECT_GT(result.meanSojournMs, 0.0);
+    // Full-size images keep the full-size caches.
+    ExperimentConfig full = cfg;
+    full.memScale = 1.0;
+    unchanged(defaults,
+              experimentSystemConfig(DedupMode::None, full, defaults));
+    full.memScale = 2.0;
+    unchanged(defaults,
+              experimentSystemConfig(DedupMode::None, full, defaults));
+
+    // Scaling can be switched off.
+    ExperimentConfig off = cfg;
+    off.scaleCaches = false;
+    unchanged(defaults,
+              experimentSystemConfig(DedupMode::None, off, defaults));
 }
 
 TEST(ExperimentRunTest, ResultCarriesModeSpecificFields)

@@ -20,9 +20,13 @@ differ in absolute speed, so the gate can be widened for CI with
 PF_PERF_TOLERANCE (a fraction, e.g. 0.5) without touching the script.
 
 A current report with no baseline entry for its (num_mcs, jobs) pair,
-or whose (app, mode, seed) cells differ from the baseline's, is an
-error (exit 2): the two runs are not comparable. Any cell failure in
-the fresh report is a hard failure (exit 1) regardless of speed.
+whose workload (mem_scale, target_queries) differs from the matched
+entry's, or whose (app, mode, seed) cells differ from the baseline's,
+is an error (exit 2): the two runs are not comparable. Reports without
+the workload fields are read as pfsim's campaign defaults (scale 0.2,
+1500 queries), which is how the entries that predate them were
+measured. Any cell failure in the fresh report is a hard failure
+(exit 1) regardless of speed.
 """
 
 import json
@@ -31,6 +35,10 @@ import sys
 
 SCHEMAS = ("pageforge-simspeed-v1", "pageforge-simspeed-v2",
            "pageforge-simspeed-v3")
+
+# pfsim --campaign's defaults for --scale and --queries.
+DEFAULT_MEM_SCALE = 0.2
+DEFAULT_TARGET_QUERIES = 1500
 
 
 def fail_usage(message):
@@ -54,6 +62,11 @@ def load_reports(path):
 
 def config_key(report):
     return (report.get("num_mcs", 1), report.get("jobs", 1))
+
+
+def workload(report):
+    return (report.get("mem_scale", DEFAULT_MEM_SCALE),
+            report.get("target_queries", DEFAULT_TARGET_QUERIES))
 
 
 def cell_key(cell):
@@ -116,6 +129,10 @@ def main(argv):
         if baseline is None:
             fail_usage(f"no baseline entry for num_mcs={num_mcs} "
                        f"jobs={jobs} in {paths[1]}")
+        if workload(current) != workload(baseline):
+            fail_usage(f"num_mcs={num_mcs} jobs={jobs}: workload "
+                       f"(mem_scale, target_queries)={workload(current)} "
+                       f"differs from {paths[1]}'s {workload(baseline)}")
         cur_cells = sorted(cell_key(c) for c in current.get("cells", []))
         base_cells = sorted(cell_key(c) for c in baseline.get("cells", []))
         if cur_cells != base_cells:

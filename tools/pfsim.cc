@@ -3,9 +3,11 @@
  * pfsim: command-line driver for single simulations and parallel
  * experiment campaigns.
  *
- * Single mode runs one (application, configuration) experiment and
- * prints the result plus, optionally, the full hierarchical
- * statistics dump of the machine — the way gem5 prints stats.txt:
+ * Single mode runs one (application, configuration) experiment
+ * through the experiment runner (runExperiment on a System it keeps)
+ * and prints the result — the same definitions a campaign cell uses —
+ * plus, optionally, the full hierarchical statistics dump of the
+ * machine, the way gem5 prints stats.txt:
  *
  *   pfsim --app=silo --mode=pageforge --scale=0.2 --window-ms=200
  *         [--seed=42] [--dump-stats] [--placement=sticky|rr|random|pinned]
@@ -26,11 +28,7 @@
 #include <string>
 #include <vector>
 
-#include "fault/fault_injector.hh"
-#include "fault/merge_oracle.hh"
 #include "prof/profiler.hh"
-#include "shard/cross_mc_router.hh"
-#include "shard/shard_map.hh"
 #include "sim/simd.hh"
 #include "stats/table.hh"
 #include "system/campaign.hh"
@@ -332,6 +330,38 @@ writeProfileOutput(const Options &opts)
     return 0;
 }
 
+/** The measurement knobs both modes share. */
+ExperimentConfig
+experimentConfig(const Options &opts)
+{
+    ExperimentConfig cfg;
+    cfg.memScale = opts.scale;
+    cfg.warmupPasses = opts.warmupPasses;
+    cfg.seed = opts.seed;
+    cfg.targetQueries = opts.queries;
+    cfg.settleTime = msToTicks(opts.settleMs);
+    cfg.churn = opts.churn;
+    cfg.faults = opts.faults;
+    if (opts.auditIntervalMs > 0.0)
+        cfg.auditInterval = msToTicks(opts.auditIntervalMs);
+    cfg.metricsInterval = opts.metricsInterval;
+    return cfg;
+}
+
+/** The machine both modes start from. */
+SystemConfig
+systemTemplate(const Options &opts)
+{
+    SystemConfig tmpl;
+    tmpl.ksmPlacement = opts.placement;
+    tmpl.numMcs = opts.numMcs;
+    if (opts.vms) {
+        tmpl.numCores = opts.vms;
+        tmpl.numVms = opts.vms;
+    }
+    return tmpl;
+}
+
 /** Run the evaluation matrix in parallel and print a summary table. */
 int
 runCampaignMode(const Options &opts)
@@ -341,27 +371,13 @@ runCampaignMode(const Options &opts)
     spec.modes = opts.modes;
     spec.numSeeds = opts.seeds;
     spec.jobs = opts.jobs;
-    spec.experiment.memScale = opts.scale;
-    spec.experiment.warmupPasses = opts.warmupPasses;
-    spec.experiment.seed = opts.seed;
-    spec.experiment.targetQueries = opts.queries;
-    spec.experiment.settleTime = msToTicks(opts.settleMs);
-    spec.experiment.churn = opts.churn;
-    spec.experiment.faults = opts.faults;
-    if (opts.auditIntervalMs > 0.0)
-        spec.experiment.auditInterval = msToTicks(opts.auditIntervalMs);
     // Event tracing is single-simulation only (the runner drops any
     // sink); per-cell metrics sampling composes fine with workers.
-    spec.experiment.metricsInterval = opts.metricsInterval;
+    spec.experiment = experimentConfig(opts);
     if (opts.trace)
         std::cerr << "pfsim: --trace is ignored in campaign mode "
                      "(per-cell metrics still recorded)\n";
-    spec.sysTemplate.ksmPlacement = opts.placement;
-    spec.sysTemplate.numMcs = opts.numMcs;
-    if (opts.vms) {
-        spec.sysTemplate.numCores = opts.vms;
-        spec.sysTemplate.numVms = opts.vms;
-    }
+    spec.sysTemplate = systemTemplate(opts);
     spec.progress = [](const CellOutcome &outcome, std::size_t done,
                        std::size_t total) {
         std::fprintf(stderr, "[%zu/%zu] %s / %s (seed %llu): %s\n",
@@ -478,287 +494,183 @@ main(int argc, char **argv)
         sink = std::make_unique<TraceSink>(trace_os, component_mask);
     }
 
-    SystemConfig config;
-    config.mode = opts.mode;
-    config.memScale = opts.scale;
-    config.seed = opts.seed;
-    config.numMcs = opts.numMcs;
-    if (opts.vms) {
-        config.numCores = opts.vms;
-        config.numVms = opts.vms;
-    }
-    config.ksmPlacement = opts.placement;
-    config.churn = opts.churn;
-    config.faults = opts.faults;
-    if (opts.auditIntervalMs > 0.0)
-        config.auditInterval = msToTicks(opts.auditIntervalMs);
-    config.traceSink = sink.get();
-    config.metricsInterval = opts.metricsInterval;
-    if (!opts.metricsCsvPath.empty() && config.metricsInterval == 0 &&
+    // --window-ms fixes the window instead of a query target.
+    ExperimentConfig cfg = experimentConfig(opts);
+    cfg.minMeasure = cfg.maxMeasure = msToTicks(opts.windowMs);
+    cfg.traceSink = sink.get();
+    if (!opts.metricsCsvPath.empty() && cfg.metricsInterval == 0 &&
         !sink) {
         std::cerr << "pfsim: --metrics-csv needs --metrics-interval "
                      "or --trace\n";
         return 1;
     }
-    // Keep the footprint/cache ratio in the paper's regime, as the
-    // experiment runner does.
-    if (opts.scale < 1.0) {
-        config.l2.sizeBytes = std::max<std::uint32_t>(
-            64 * 1024,
-            static_cast<std::uint32_t>(config.l2.sizeBytes * opts.scale *
-                                       2));
-        config.l3.sizeBytes = std::max<std::uint32_t>(
-            1024 * 1024,
-            static_cast<std::uint32_t>(config.l3.sizeBytes * opts.scale /
-                                       2));
-    }
 
     const AppProfile &app = appByName(opts.app);
+    SystemConfig config;
     try {
+        cfg.validate(app);
+        config =
+            experimentSystemConfig(opts.mode, cfg, systemTemplate(opts));
         config.validate();
     } catch (const ConfigError &err) {
         std::cerr << "pfsim: bad configuration: " << err.what() << "\n";
         return 1;
     }
     System system(config, app);
-    system.deploy();
-
-    DupAnalysis before = system.hypervisor().analyzeDuplication();
-    if (opts.mode != DedupMode::None)
-        system.warmupDedup(opts.warmupPasses);
-
-    system.startLoad();
-    system.run(msToTicks(opts.settleMs));
-    system.resetMeasurement();
-    Tick window = msToTicks(opts.windowMs);
-    Tick start = system.eventq().curTick();
-    system.run(window);
-    // Final partial metrics epoch, before the sink finishes or the
-    // series is read.
-    system.finishObservability();
+    const ExperimentResult r = runExperiment(system, cfg);
 
     // ---- report ----
-    DupAnalysis after = system.hypervisor().analyzeDuplication();
-    const Sampler &lat = system.latency().aggregate();
-
     TablePrinter table("pfsim: " + opts.app + " / " +
                        dedupModeName(opts.mode));
     table.setHeader({"Metric", "Value"});
-    table.addRow({"queries completed", std::to_string(lat.count())});
-    table.addRow({"mean sojourn (ms)",
-                  TablePrinter::fmt(ticksToMs(Tick(lat.mean())), 3)});
-    table.addRow({"p95 sojourn (ms)",
-                  TablePrinter::fmt(ticksToMs(Tick(lat.p95())), 3)});
-    table.addRow({"p99 sojourn (ms)",
-                  TablePrinter::fmt(
-                      ticksToMs(Tick(lat.quantile(0.99))), 3)});
-    table.addRow({"guest pages", std::to_string(after.mappedPages)});
+    table.addRow({"queries completed", std::to_string(r.queries)});
+    table.addRow({"mean sojourn (ms, geomean of VMs)",
+                  TablePrinter::fmt(r.meanSojournMs, 3)});
+    table.addRow({"p95 sojourn (ms, geomean of VMs)",
+                  TablePrinter::fmt(r.p95SojournMs, 3)});
+    table.addRow({"guest pages", std::to_string(r.dup.mappedPages)});
     table.addRow({"frames before merging",
-                  std::to_string(before.framesUsed)});
-    table.addRow({"frames now", std::to_string(after.framesUsed)});
+                  std::to_string(r.dupBefore.framesUsed)});
+    table.addRow({"frames now", std::to_string(r.dup.framesUsed)});
     table.addRow({"footprint savings",
-                  TablePrinter::pct(1.0 - after.footprintRatio())});
-    table.addRow({"merges", std::to_string(system.hypervisor().merges())});
-    table.addRow({"CoW breaks",
-                  std::to_string(system.hypervisor().cowBreaks())});
-    table.addRow({"L3 miss rate",
-                  TablePrinter::pct(system.hierarchy().l3MissRate())});
-    double mean_gbps = 0.0;
-    for (unsigned m = 0; m < system.numMcs(); ++m)
-        mean_gbps += system.memController(m).dram().bandwidth().meanGBps(
-            start, system.eventq().curTick());
-    table.addRow(
-        {"mean DRAM bandwidth (GB/s)", TablePrinter::fmt(mean_gbps)});
+                  TablePrinter::pct(1.0 - r.dup.footprintRatio())});
+    table.addRow({"merges (window)", std::to_string(r.merges)});
+    table.addRow({"CoW breaks (window)", std::to_string(r.cowBreaks)});
+    table.addRow({"L3 miss rate", TablePrinter::pct(r.l3MissRate)});
+    table.addRow({"mean DRAM bandwidth (GB/s)",
+                  TablePrinter::fmt(r.baselinePhaseBwGBps)});
 
-    if (opts.mode == DedupMode::Ksm) {
-        Tick busy = 0;
-        for (unsigned c = 0; c < system.numCores(); ++c)
-            busy += system.core(c).busyTicks(Requester::Ksm);
-        table.addRow({"ksmd duty (one-core equiv.)",
-                      TablePrinter::pct(static_cast<double>(busy) /
-                                        static_cast<double>(window))});
-    }
+    if (opts.mode == DedupMode::Ksm)
+        table.addRow({"ksmd core share (avg / max)",
+                      TablePrinter::pct(r.ksmCycleFracAvg) + " / " +
+                          TablePrinter::pct(r.ksmCycleFracMax)});
     if (opts.mode == DedupMode::PageForge) {
-        table.addRow({"PF batches",
-                      std::to_string(system.pfDriver()->refills())});
+        table.addRow({"PF batches", std::to_string(r.pfRefills)});
         table.addRow({"PF avg batch cycles",
-                      TablePrinter::fmt(
-                          system.pfModule()->tableProcessCycles().mean(),
-                          0)});
-        table.addRow({"PF OS checks",
-                      std::to_string(system.pfDriver()->osChecks())});
+                      TablePrinter::fmt(r.pfBatchCyclesAvg, 0)});
+        table.addRow({"PF OS checks", std::to_string(r.pfOsChecks)});
     }
-    if (system.numMcs() > 1) {
-        const CrossMcRouter &router = *system.crossMcRouter();
-        for (unsigned m = 0; m < system.numMcs(); ++m) {
-            std::string label = "mc" + std::to_string(m);
-            std::string row;
-            if (PageForgeDriver *driver = system.pfDriver()) {
-                row += "scans=" +
-                    std::to_string(driver->shardScans(m)) +
-                    " merges=" + std::to_string(driver->shardMerges(m)) +
-                    " ";
-            }
-            row += "handoffs_in=" + std::to_string(router.handoffsTo(m)) +
-                " handoffs_out=" + std::to_string(router.handoffsFrom(m));
-            table.addRow({label, row});
-        }
-        table.addRow({"cross-MC handoffs",
-                      std::to_string(router.totalHandoffs())});
+    for (std::size_t m = 0; m < r.perMc.size(); ++m) {
+        const McSummary &mc = r.perMc[m];
+        std::string row;
+        if (opts.mode == DedupMode::PageForge)
+            row += "scans=" + std::to_string(mc.scans) +
+                " merges=" + std::to_string(mc.merges) + " ";
+        row += "handoffs_in=" + std::to_string(mc.handoffsIn) +
+            " handoffs_out=" + std::to_string(mc.handoffsOut);
+        table.addRow({"mc" + std::to_string(m), row});
     }
-    if (LifecycleManager *lc = system.lifecycle()) {
-        const LifecycleStats &ls = lc->stats();
+    if (r.lifecycle.enabled) {
+        const LifecycleSummary &ls = r.lifecycle;
         table.addRow({"VM clones", std::to_string(ls.clones)});
         table.addRow({"VM boots", std::to_string(ls.boots)});
         table.addRow({"VM shutdowns", std::to_string(ls.shutdowns)});
-        table.addRow({"live dynamic VMs",
-                      std::to_string(lc->liveDynamicVms())});
         table.addRow({"frames reclaimed (freed)",
                       std::to_string(ls.framesFreed)});
         table.addRow({"mean unmerge storm (pages)",
-                      TablePrinter::fmt(ls.unmergeStorm.mean(), 1)});
+                      TablePrinter::fmt(ls.meanUnmergeStorm, 1)});
         table.addRow({"mean reclaim cost (us)",
-                      TablePrinter::fmt(ls.reclaimLatencyUs.mean(), 1)});
+                      TablePrinter::fmt(ls.meanReclaimUs, 1)});
         table.addRow({"mean merge recovery (ms)",
-                      TablePrinter::fmt(ls.mergeRecoveryMs.mean(), 2)});
+                      TablePrinter::fmt(ls.meanRecoveryMs, 2)});
         table.addRow({"recovery timeouts",
                       std::to_string(ls.recoveryTimeouts)});
     }
-    std::uint64_t oracle_violations = 0;
-    std::uint64_t ecc_corrected = 0;
-    std::uint64_t ecc_uncorrectable = 0;
-    for (unsigned m = 0; m < system.numMcs(); ++m) {
-        ecc_corrected += system.memController(m).correctedErrors();
-        ecc_uncorrectable +=
-            system.memController(m).uncorrectableErrors();
-    }
-    if (FaultInjector *inj = system.faultInjector()) {
-        const FaultInjectStats &fs = inj->stats();
+    const FaultSummary &f = r.faults;
+    if (f.enabled) {
         table.addRow({"fault: bit-flip events",
-                      std::to_string(fs.flipEvents)});
+                      std::to_string(f.flipEvents)});
         table.addRow({"fault: single/double flips",
-                      std::to_string(fs.singleBitFlips) + " / " +
-                          std::to_string(fs.doubleBitFlips)});
+                      std::to_string(f.singleBitFlips) + " / " +
+                          std::to_string(f.doubleBitFlips)});
         table.addRow({"fault: stuck-at faults",
-                      std::to_string(fs.stuckAtFaults)});
+                      std::to_string(f.stuckAtFaults)});
         table.addRow({"fault: minikey-line targeted",
-                      std::to_string(fs.minikeyTargeted)});
+                      std::to_string(f.minikeyTargeted)});
         table.addRow({"fault: scan-table corruptions",
-                      std::to_string(fs.tableCorruptions)});
+                      std::to_string(f.tableCorruptions)});
         table.addRow({"fault: merge-race writes",
-                      std::to_string(fs.raceWrites)});
+                      std::to_string(f.raceWrites)});
         table.addRow({"ECC corrected errors",
-                      std::to_string(ecc_corrected)});
+                      std::to_string(f.correctedErrors)});
         table.addRow({"ECC uncorrectable errors",
-                      std::to_string(ecc_uncorrectable)});
-        table.addRow({"poisoned frames",
-                      std::to_string(system.memory().poisonedFrames())});
+                      std::to_string(f.uncorrectableErrors)});
+        table.addRow({"poisoned frames", std::to_string(f.poisonedFrames)});
         table.addRow({"quarantined frames",
-                      std::to_string(
-                          system.memory().quarantinedFrames())});
+                      std::to_string(f.quarantinedFrames)});
         if (opts.mode == DedupMode::PageForge) {
             table.addRow({"false key matches",
-                          std::to_string(
-                              system.pfDriver()->falseKeyMatches())});
+                          std::to_string(f.falseKeyMatches)});
             table.addRow({"ECC offset rotations",
-                          std::to_string(
-                              system.pfDriver()->offsetRotations())});
+                          std::to_string(f.offsetRotations)});
             table.addRow({"merge aborts / retries",
-                          std::to_string(system.pfDriver()->mergeAborts()) +
-                              " / " +
-                              std::to_string(
-                                  system.pfDriver()->mergeRetries())});
+                          std::to_string(f.mergeAborts) + " / " +
+                              std::to_string(f.mergeRetries)});
         }
-        if (fs.mcWedges || fs.brownouts) {
+        if (f.mcWedgesInjected || f.brownouts) {
             table.addRow({"fault: module wedges",
-                          std::to_string(fs.mcWedges)});
+                          std::to_string(f.mcWedgesInjected)});
             table.addRow({"fault: channel brownouts",
-                          std::to_string(fs.brownouts)});
+                          std::to_string(f.brownouts)});
         }
-        const CrossMcRouter &router = *system.crossMcRouter();
-        if (router.handoffsLost() || router.handoffsCorrupted() ||
-            router.handoffsSpiked()) {
+        if (f.handoffsLost || f.handoffsCorrupted || f.handoffsSpiked) {
             table.addRow({"handoffs lost / corrupted / spiked",
-                          std::to_string(router.handoffsLost()) + " / " +
-                              std::to_string(router.handoffsCorrupted()) +
-                              " / " +
-                              std::to_string(router.handoffsSpiked())});
+                          std::to_string(f.handoffsLost) + " / " +
+                              std::to_string(f.handoffsCorrupted) + " / " +
+                              std::to_string(f.handoffsSpiked)});
             table.addRow({"handoff retries / dead letters",
-                          std::to_string(router.handoffRetries()) +
-                              " / " +
-                              std::to_string(router.handoffDeadLetters())});
+                          std::to_string(f.handoffRetries) + " / " +
+                              std::to_string(f.handoffDeadLetters)});
         }
-        if (ModuleWatchdog *dog = system.watchdog()) {
+        // The watchdog exists only where PageForge modules can wedge.
+        if (opts.mode == DedupMode::PageForge &&
+            cfg.faults.mcWedgeRate > 0.0) {
             table.addRow({"wedges detected / restarts",
-                          std::to_string(dog->wedgesDetected()) + " / " +
-                              std::to_string(dog->moduleRestarts())});
+                          std::to_string(f.wedgesDetected) + " / " +
+                              std::to_string(f.moduleRestarts)});
             table.addRow({"failovers / readmissions",
-                          std::to_string(dog->failovers()) + " / " +
-                              std::to_string(dog->readmissions())});
+                          std::to_string(f.failovers) + " / " +
+                              std::to_string(f.readmissions)});
         }
-        if (McHealthMonitor *health = system.healthMonitor()) {
-            for (unsigned m = 0; m < health->numMcs(); ++m) {
+        for (std::size_t m = 0; m < r.perMc.size(); ++m)
+            if (!r.perMc[m].health.empty())
                 table.addRow({"mc" + std::to_string(m) + " health",
-                              std::string(mcHealthName(
-                                  health->state(m))) +
-                                  " (" +
+                              r.perMc[m].health + " (" +
                                   std::to_string(
-                                      health->transitionsOf(m)) +
+                                      r.perMc[m].healthTransitions) +
                                   " transitions)"});
-            }
-        }
-        if (MergeOracle *oracle = system.mergeOracle()) {
-            oracle_violations = oracle->violations();
-            table.addRow({"merge oracle checks",
-                          std::to_string(oracle->checks())});
-            table.addRow({"merge oracle violations",
-                          std::to_string(oracle_violations)});
-        }
+        table.addRow({"merge oracle checks",
+                      std::to_string(f.oracleChecks)});
+        table.addRow({"merge oracle violations",
+                      std::to_string(f.oracleViolations)});
     }
     table.print(std::cout);
 
-    if (FaultInjector *inj = system.faultInjector()) {
-        // One greppable line for CI smoke checks.
-        const FaultInjectStats &fs = inj->stats();
-        const MergeOracle *oracle = system.mergeOracle();
-        // New fields must stay BEFORE oracle_violations: CI greps for
-        // "oracle_violations=0$" at end of line.
-        const CrossMcRouter &router = *system.crossMcRouter();
-        const ModuleWatchdog *dog = system.watchdog();
+    if (f.enabled) {
+        // One greppable line for CI smoke checks. New fields must stay
+        // BEFORE oracle_violations: CI greps for "oracle_violations=0$"
+        // at end of line.
         std::cout << "pfsim: fault summary:"
-                  << " flips=" << fs.flipEvents
-                  << " corrected=" << ecc_corrected
-                  << " uncorrectable=" << ecc_uncorrectable
-                  << " poisoned=" << system.memory().poisonedFrames()
-                  << " quarantined="
-                  << system.memory().quarantinedFrames()
-                  << " race_writes=" << fs.raceWrites
-                  << " merge_aborts="
-                  << (opts.mode == DedupMode::PageForge
-                          ? system.pfDriver()->mergeAborts()
-                          : 0)
-                  << " mc_wedges=" << fs.mcWedges
-                  << " brownouts=" << fs.brownouts
-                  << " handoffs_lost="
-                  << router.handoffsLost()
-                  << " handoff_retries="
-                  << router.handoffRetries()
-                  << " handoff_dead_letters="
-                  << router.handoffDeadLetters()
-                  << " wedges_detected="
-                  << (dog ? dog->wedgesDetected() : 0)
-                  << " module_restarts="
-                  << (dog ? dog->moduleRestarts() : 0)
-                  << " failovers=" << (dog ? dog->failovers() : 0)
-                  << " readmissions="
-                  << (dog ? dog->readmissions() : 0)
-                  << " rehomed_prefixes="
-                  << system.shardMap()->rehomedPrefixes()
-                  << " oracle_checks="
-                  << (oracle ? oracle->checks() : 0)
-                  << " cross_mc_checks="
-                  << (oracle ? oracle->crossMcChecks() : 0)
-                  << " oracle_violations=" << oracle_violations << "\n";
+                  << " flips=" << f.flipEvents
+                  << " corrected=" << f.correctedErrors
+                  << " uncorrectable=" << f.uncorrectableErrors
+                  << " poisoned=" << f.poisonedFrames
+                  << " quarantined=" << f.quarantinedFrames
+                  << " race_writes=" << f.raceWrites
+                  << " merge_aborts=" << f.mergeAborts
+                  << " mc_wedges=" << f.mcWedgesInjected
+                  << " brownouts=" << f.brownouts
+                  << " handoffs_lost=" << f.handoffsLost
+                  << " handoff_retries=" << f.handoffRetries
+                  << " handoff_dead_letters=" << f.handoffDeadLetters
+                  << " wedges_detected=" << f.wedgesDetected
+                  << " module_restarts=" << f.moduleRestarts
+                  << " failovers=" << f.failovers
+                  << " readmissions=" << f.readmissions
+                  << " rehomed_prefixes=" << f.rehomedPrefixes
+                  << " oracle_checks=" << f.oracleChecks
+                  << " cross_mc_checks=" << f.crossMcChecks
+                  << " oracle_violations=" << f.oracleViolations << "\n";
     }
 
     if (opts.dumpStats) {
@@ -782,21 +694,21 @@ main(int argc, char **argv)
         std::cerr << "wrote " << opts.tracePath << " ("
                   << sink->totalEvents() << " events)\n";
     }
-    if (!opts.metricsCsvPath.empty() && system.metrics()) {
+    if (!opts.metricsCsvPath.empty() && !r.metrics.empty()) {
         std::ofstream csv(opts.metricsCsvPath);
         if (!csv) {
             std::cerr << "cannot open " << opts.metricsCsvPath
                       << " for writing\n";
             return 1;
         }
-        system.metrics()->series().writeCsv(csv);
+        r.metrics.writeCsv(csv);
         std::cerr << "wrote " << opts.metricsCsvPath << "\n";
     }
     if (int rc = writeProfileOutput(opts))
         return rc;
-    if (oracle_violations) {
+    if (f.oracleViolations) {
         std::cerr << "pfsim: MERGE ORACLE VIOLATION: "
-                  << oracle_violations
+                  << f.oracleViolations
                   << " merge(s) of differing pages\n";
         return 1;
     }
