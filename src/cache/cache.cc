@@ -42,18 +42,10 @@ Cache::insert(Addr line_addr, MesiState state)
 {
     pf_assert(state != MesiState::Invalid, "inserting an invalid line");
 
-    // Staged kernel scans over the set: resident copy first, then the
-    // first invalid way, then the LRU timestamp reduction — each one
-    // short and vectorized, and the set's tags sit in one or two host
-    // cache lines so the repeat passes are register/L1 traffic. The
-    // victim chosen is identical to the old single scalar pass: the
-    // first invalid way wins, else the unique oldest timestamp (the
-    // argmin runs only when every way is valid, so stale timestamps
-    // on invalid ways can't be picked).
     std::size_t base =
         static_cast<std::size_t>(setIndex(line_addr)) * _config.ways;
-    const std::uint64_t *set_tags = _tags.data() + base;
-    std::uint32_t match = simd::findTagWay(set_tags, _config.ways, line_addr);
+    std::uint32_t match =
+        simd::findTagWay(_tags.data() + base, _config.ways, line_addr);
     if (match != simd::noWay) {
         // Refill of a resident line: just update state and recency.
         std::size_t idx = base + match;
@@ -61,11 +53,20 @@ Cache::insert(Addr line_addr, MesiState state)
         _lastUsed[idx] = ++_useClock;
         return {};
     }
+    return fillAbsent(line_addr, state);
+}
 
-    std::uint32_t free_way = simd::findFreeWay(set_tags, _config.ways);
-    std::size_t victim_idx = free_way != simd::noWay
-        ? base + free_way
-        : base + simd::argminU64(_lastUsed.data() + base, _config.ways);
+Victim
+Cache::fillAbsent(Addr line_addr, MesiState state)
+{
+    pf_assert(state != MesiState::Invalid, "inserting an invalid line");
+
+    // The first minimum stamp is the first invalid way (stamp 0),
+    // else the LRU way.
+    std::size_t base =
+        static_cast<std::size_t>(setIndex(line_addr)) * _config.ways;
+    std::size_t victim_idx =
+        base + simd::argminU64(_lastUsed.data() + base, _config.ways);
     Victim victim;
     std::uint64_t old_tag = _tags[victim_idx];
     if (old_tag & stateMask) {
@@ -74,13 +75,13 @@ Cache::insert(Addr line_addr, MesiState state)
         victim.dirty = tagState(old_tag) == MesiState::Modified;
         ++_evictions;
         if (_residency)
-            _residency->remove(victim.addr);
+            _residency->remove(victim.addr, _residencyWeight);
     }
 
     _tags[victim_idx] = makeTag(line_addr, state);
     _lastUsed[victim_idx] = ++_useClock;
     if (_residency)
-        _residency->add(line_addr);
+        _residency->add(line_addr, _residencyWeight);
     return victim;
 }
 
@@ -93,8 +94,9 @@ Cache::setState(Addr line_addr, MesiState state)
               _config.name.c_str());
     if (state == MesiState::Invalid) {
         _tags[idx] = 0;
+        _lastUsed[idx] = 0;
         if (_residency)
-            _residency->remove(line_addr);
+            _residency->remove(line_addr, _residencyWeight);
     } else {
         _tags[idx] = makeTag(line_addr, state);
     }
@@ -108,8 +110,9 @@ Cache::invalidate(Addr line_addr)
         return false;
     bool dirty = tagState(_tags[idx]) == MesiState::Modified;
     _tags[idx] = 0;
+    _lastUsed[idx] = 0;
     if (_residency)
-        _residency->remove(line_addr);
+        _residency->remove(line_addr, _residencyWeight);
     return dirty;
 }
 

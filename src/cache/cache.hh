@@ -62,32 +62,59 @@ struct Victim
 };
 
 /**
- * Exact count of how many attached caches hold each line, shared by
- * every cache of a hierarchy. A zero count proves the line is in no
- * cache, letting snoop paths skip the per-cache tag probes entirely —
- * the common case for the dedup engines, which stream lines that are
- * rarely cached anywhere. Counts move only on the residency
- * transitions inside Cache (fill of an empty way, eviction,
- * invalidation), so the filter is a pure host-side accelerator: every
- * probe it short-circuits would have returned "absent".
+ * Exact per-line record of which levels hold a line, shared by every
+ * L2 and the L3 of a hierarchy. A line's byte is
+ * 2 x (number of L2s holding it) + (1 if the L3 holds it): each
+ * attached cache adds its weight when it gains the line and subtracts
+ * it when it loses it. L1s attach nothing — inclusion (L1 within its
+ * core's L2) already implies their lines.
+ *
+ * The byte lets the demand path skip the own-L2 probe, the peer-L2
+ * snoop and the L3 probe whenever the corresponding field is zero,
+ * and a zero byte proves the line is in no cache at all — the common
+ * case for the dedup engines, which stream lines that are rarely
+ * cached anywhere. Every probe it short-circuits would have returned
+ * "absent", so the filter is a pure host-side accelerator. The byte
+ * tops out at 2 x numCores + 1, which bounds a hierarchy at 127 cores.
  */
 class LineResidency
 {
   public:
+    /** Weight an L2 adds to a line's byte while it holds the line. */
+    static constexpr std::uint8_t l2Weight = 2;
+    /** Weight the L3 adds to a line's byte while it holds the line. */
+    static constexpr std::uint8_t l3Weight = 1;
+    /** Most cores whose holder counts still fit in the byte. */
+    static constexpr unsigned maxCores = (0xff - l3Weight) / l2Weight;
+
     explicit LineResidency(std::size_t total_lines)
         : _count(total_lines, 0)
     {
     }
 
-    /** Could any attached cache hold @p line_addr? Exact, not a guess. */
-    bool
-    holds(Addr line_addr) const
+    /** The raw holder byte of @p line_addr. */
+    std::uint8_t at(Addr line_addr) const { return _count[index(line_addr)]; }
+
+    /** Could any cache hold @p line_addr? Exact, not a guess. */
+    bool holds(Addr line_addr) const { return at(line_addr) != 0; }
+
+    /** Number of L2s a holder byte counts. */
+    static unsigned l2Holders(std::uint8_t byte) { return byte / l2Weight; }
+
+    /** Does a holder byte record the line in the L3? */
+    static bool inL3(std::uint8_t byte) { return byte % l2Weight != 0; }
+
+    void
+    add(Addr line_addr, std::uint8_t weight)
     {
-        return _count[index(line_addr)] != 0;
+        _count[index(line_addr)] += weight;
     }
 
-    void add(Addr line_addr) { ++_count[index(line_addr)]; }
-    void remove(Addr line_addr) { --_count[index(line_addr)]; }
+    void
+    remove(Addr line_addr, std::uint8_t weight)
+    {
+        _count[index(line_addr)] -= weight;
+    }
 
   private:
     std::size_t
@@ -143,10 +170,20 @@ class Cache
     }
 
     /**
-     * Fill a line, evicting the set's LRU victim if needed.
+     * Fill a line, evicting the set's LRU victim if needed. A line
+     * already resident just takes the new state and recency.
      * @return the victim (valid=false when an empty way was used)
      */
     Victim insert(Addr line_addr, MesiState state);
+
+    /**
+     * Fill a line the caller has just proven absent (a demand miss on
+     * this cache), skipping insert()'s resident-copy scan. The victim
+     * is the set's first invalid way, else its LRU way — the same one
+     * insert() picks.
+     * @pre the line is not resident
+     */
+    Victim fillAbsent(Addr line_addr, MesiState state);
 
     /**
      * Change the state of a resident line.
@@ -177,26 +214,31 @@ class Cache
 
     /**
      * Share a residency filter with this cache; fills, evictions, and
-     * invalidations keep its counts exact from then on. Must be
-     * attached while the cache is empty.
+     * invalidations add or subtract @p weight from then on, keeping
+     * the filter exact. Must be attached while the cache is empty.
      */
     void
-    attachResidency(LineResidency *residency)
+    attachResidency(LineResidency *residency, std::uint8_t weight)
     {
         _residency = residency;
+        _residencyWeight = weight;
     }
 
     /**
      * Record a demand miss without scanning the set. Only valid when
-     * the caller has proven the line absent (residency count zero):
-     * access() on an absent line touches nothing but the miss counter.
+     * the caller has proven the line absent (via the residency
+     * filter): access() on an absent line touches nothing but the
+     * miss counter.
      */
     void missFast() { ++_misses; }
 
   private:
     /**
      * The tag array is a structure of arrays: one packed 64-bit tag
-     * word per way plus a parallel LRU timestamp array. Line addresses
+     * word per way plus a parallel LRU timestamp array. Valid ways
+     * carry stamps >= 1 from a strictly increasing clock and invalid
+     * ways carry 0, so the set's first-minimum stamp is the victim:
+     * the first invalid way, else the LRU way. Line addresses
      * are 64 B aligned, so the MESI state lives in the tag's low two
      * bits (the enum's values) and an Invalid way stores 0 — a set's
      * ways occupy one or two cache lines on the host, against three
@@ -232,6 +274,7 @@ class Cache
     std::vector<std::uint64_t> _lastUsed; // numSets x ways
     std::uint64_t _useClock = 0;
     LineResidency *_residency = nullptr;
+    std::uint8_t _residencyWeight = 0;
 
     Counter _hits;
     Counter _misses;

@@ -26,6 +26,8 @@ Hierarchy::Hierarchy(std::string name, EventQueue &eq, unsigned num_cores,
       _stats(this->name())
 {
     pf_assert(num_cores > 0, "hierarchy with no cores");
+    pf_assert(num_cores <= LineResidency::maxCores,
+              "%u cores overflow the line-residency byte", num_cores);
     for (unsigned c = 0; c < num_cores; ++c) {
         CacheConfig l1 = l1_cfg;
         l1.name = this->name() + ".l1." + std::to_string(c);
@@ -33,15 +35,15 @@ Hierarchy::Hierarchy(std::string name, EventQueue &eq, unsigned num_cores,
         l2.name = this->name() + ".l2." + std::to_string(c);
         _l1.push_back(std::make_unique<Cache>(l1));
         _l2.push_back(std::make_unique<Cache>(l2));
-        _l1.back()->attachResidency(&_residency);
-        _l2.back()->attachResidency(&_residency);
+        // L1s stay unattached: inclusion puts their lines in the L2.
+        _l2.back()->attachResidency(&_residency, LineResidency::l2Weight);
         _l2Mshr.push_back(
             std::make_unique<Mshr>(l2.name + ".mshr", l2.mshrs));
     }
     CacheConfig l3 = l3_cfg;
     l3.name = this->name() + ".l3";
     _l3 = std::make_unique<Cache>(l3);
-    _l3->attachResidency(&_residency);
+    _l3->attachResidency(&_residency, LineResidency::l3Weight);
 
     _stats.addCounter("upgrades", "S->M bus upgrade transactions",
                       _upgrades);
@@ -56,20 +58,20 @@ Hierarchy::Hierarchy(std::string name, EventQueue &eq, unsigned num_cores,
 void
 Hierarchy::fillL1(CoreId core, Addr line_addr, bool dirty)
 {
-    Victim victim = _l1[core]->insert(
+    Victim victim = _l1[core]->fillAbsent(
         line_addr, dirty ? MesiState::Modified : MesiState::Shared);
     if (victim.valid && victim.dirty) {
         // Dirty L1 victims drain into the core's L2; inclusion
-        // guarantees the line is present there.
-        if (_l2[core]->contains(victim.addr))
-            _l2[core]->setState(victim.addr, MesiState::Modified);
+        // guarantees the line is present there, and setState asserts
+        // it rather than dropping the dirtiness.
+        _l2[core]->setState(victim.addr, MesiState::Modified);
     }
 }
 
 void
 Hierarchy::fillL2(CoreId core, Addr line_addr, MesiState state, Tick now)
 {
-    Victim victim = _l2[core]->insert(line_addr, state);
+    Victim victim = _l2[core]->fillAbsent(line_addr, state);
     if (victim.valid) {
         // Enforce inclusion: the L1 copy must go when the L2 copy goes.
         bool l1_dirty = _l1[core]->invalidate(victim.addr);
@@ -98,6 +100,10 @@ bool
 Hierarchy::invalidatePeers(CoreId core, Addr line_addr, Tick now)
 {
     (void)now;
+    // The caller's own L2 holds the line; when it is the only L2
+    // holder, no peer L2 (and by inclusion no peer L1) has a copy.
+    if (LineResidency::l2Holders(_residency.at(line_addr)) == 1)
+        return false;
     bool any = false;
     for (unsigned p = 0; p < _numCores; ++p) {
         if (p == core)
@@ -154,16 +160,22 @@ Hierarchy::access(CoreId core, Addr addr, bool write, Tick now,
         return {lat, AccessSource::L1};
     }
 
-    // A zero residency count proves no cache holds the line: record
-    // the L2 miss without scanning its set and skip the peer and L3
-    // probes below — access() on an absent line touches nothing else.
-    const bool cached_somewhere = _residency.holds(line);
-    if (!cached_somewhere)
-        l2.missFast();
+    // The residency byte says which levels can hit: with no L2
+    // holder, record the L2 miss without scanning its set. Its fields
+    // stay valid until the fills below — the peer snoop only changes
+    // peer L2s, never the L3 bit — and every probe it skips would
+    // have missed, touching nothing but the miss counter.
+    const std::uint8_t holders = _residency.at(line);
+    const unsigned l2_holders = LineResidency::l2Holders(holders);
 
     // ---- L2 ----
-    MesiState s2 =
-        cached_somewhere ? l2.access(line) : MesiState::Invalid;
+    MesiState s2;
+    if (l2_holders != 0) {
+        s2 = l2.access(line);
+    } else {
+        l2.missFast();
+        s2 = MesiState::Invalid;
+    }
     if (s2 != MesiState::Invalid) {
         Tick lat = l1_lat + l2_lat;
         if (write && s2 == MesiState::Shared) {
@@ -188,10 +200,11 @@ Hierarchy::access(CoreId core, Addr addr, bool write, Tick now,
     Tick start = now + stall + l1_lat + l2_lat;
 
     // ---- Bus: snoop the other cores' private caches ----
+    // The own L2 missed, so every L2 holder counted above is a peer.
     Tick bus_done = _bus.transact(start, false);
     bool peer_had = false;
     bool peer_was_m = false;
-    for (unsigned p = 0; cached_somewhere && p < _numCores; ++p) {
+    for (unsigned p = 0; l2_holders != 0 && p < _numCores; ++p) {
         if (p == core)
             continue;
         MesiState sp = _l2[p]->probe(line);
@@ -222,7 +235,7 @@ Hierarchy::access(CoreId core, Addr addr, bool write, Tick now,
     } else {
         ++_l3AccessBy[reqIdx(req)];
         MesiState s3;
-        if (cached_somewhere) {
+        if (LineResidency::inL3(holders)) {
             s3 = _l3->access(line);
         } else {
             _l3->missFast();

@@ -93,6 +93,9 @@ class Hierarchy : public SimObject
     Cache &l3() { return *_l3; }
     Bus &bus() { return _bus; }
 
+    /** The line-residency filter (read-only, for invariant checks). */
+    const LineResidency &residency() const { return _residency; }
+
     unsigned
     numMemControllers() const
     {
@@ -146,9 +149,11 @@ class Hierarchy : public SimObject
     std::vector<MemController *> _mcs; //!< one per channel, in order
 
     /**
-     * Holder count per line across every cache of this hierarchy; a
-     * zero count short-circuits snoop and peer-probe tag scans (the
-     * dedup engines mostly touch lines no cache holds).
+     * Per-line holder byte over the L2s (weight 2 each) and the L3
+     * (weight 1): its fields let access() skip the own-L2, peer-L2
+     * and L3 probes that would miss, and a zero byte short-circuits
+     * snoop tag scans (the dedup engines mostly touch lines no cache
+     * holds).
      */
     LineResidency _residency;
 
@@ -160,10 +165,16 @@ class Hierarchy : public SimObject
     Counter _writebacksToMem;
     StatGroup _stats;
 
-    /** Fill a line into a core's L1, handling the victim. */
+    /**
+     * Fill a line into a core's L1, handling the victim.
+     * @pre the line is absent from that L1 (it just missed there)
+     */
     void fillL1(CoreId core, Addr line_addr, bool dirty);
 
-    /** Fill a line into a core's L2 (and L1), handling victims. */
+    /**
+     * Fill a line into a core's L2 (and L1), handling victims.
+     * @pre the line is absent from that L2 (it just missed there)
+     */
     void fillL2(CoreId core, Addr line_addr, MesiState state, Tick now);
 
     /** Insert into L3; dirty victims go to memory. */

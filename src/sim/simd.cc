@@ -101,16 +101,6 @@ findTagWayScalar(const std::uint64_t *tags, std::uint32_t ways,
 }
 
 std::uint32_t
-findFreeWayScalar(const std::uint64_t *tags, std::uint32_t ways)
-{
-    for (std::uint32_t w = 0; w < ways; ++w) {
-        if ((tags[w] & 0x3) == 0)
-            return w;
-    }
-    return noWay;
-}
-
-std::uint32_t
 argminU64Scalar(const std::uint64_t *vals, std::uint32_t n)
 {
     std::uint32_t best = 0;
@@ -127,7 +117,7 @@ argminU64Scalar(const std::uint64_t *vals, std::uint32_t n)
 // SSE2 tier (x86-64 baseline, but dispatched explicitly so the
 // scalar fallback stays reachable for equivalence testing).
 // SSE2 has no 64-bit lane compare (pcmpeqq is SSE4.1), so the
-// way-scan kernels reuse the scalar versions at this tier.
+// tag-scan kernel reuses the scalar version at this tier.
 // ------------------------------------------------------------------
 
 __attribute__((target("sse2"))) std::uint32_t
@@ -344,29 +334,6 @@ findTagWayAvx2(const std::uint64_t *tags, std::uint32_t ways,
     return noWay;
 }
 
-__attribute__((target("avx2"))) std::uint32_t
-findFreeWayAvx2(const std::uint64_t *tags, std::uint32_t ways)
-{
-    const __m256i statebits = _mm256_set1_epi64x(0x3);
-    const __m256i zero = _mm256_setzero_si256();
-    std::uint32_t w = 0;
-    for (; w + 4 <= ways; w += 4) {
-        __m256i t = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(tags + w));
-        __m256i m = _mm256_cmpeq_epi64(
-            _mm256_and_si256(t, statebits), zero);
-        unsigned mask = static_cast<unsigned>(
-            _mm256_movemask_pd(_mm256_castsi256_pd(m)));
-        if (mask)
-            return w + static_cast<std::uint32_t>(std::countr_zero(mask));
-    }
-    for (; w < ways; ++w) {
-        if ((tags[w] & 0x3) == 0)
-            return w;
-    }
-    return noWay;
-}
-
 #endif // PF_SIMD_X86
 
 // ------------------------------------------------------------------
@@ -384,14 +351,12 @@ struct Kernels
                               std::uint64_t *);
     std::uint32_t (*findTagWay)(const std::uint64_t *, std::uint32_t,
                                 std::uint64_t);
-    std::uint32_t (*findFreeWay)(const std::uint64_t *, std::uint32_t);
     Level level;
 };
 
 constexpr Kernels scalarKernels{firstDiffScalar, rangeEqualScalar,
                                 allZeroScalar, fingerprintBlocksScalar,
-                                findTagWayScalar, findFreeWayScalar,
-                                Level::Scalar};
+                                findTagWayScalar, Level::Scalar};
 
 Kernels
 kernelsFor(Level level)
@@ -400,12 +365,10 @@ kernelsFor(Level level)
     switch (level) {
       case Level::Avx2:
         return {firstDiffAvx2, rangeEqualAvx2, allZeroAvx2,
-                fingerprintBlocksAvx2, findTagWayAvx2, findFreeWayAvx2,
-                Level::Avx2};
+                fingerprintBlocksAvx2, findTagWayAvx2, Level::Avx2};
       case Level::Sse2:
         return {firstDiffSse2, rangeEqualSse2, allZeroSse2,
-                fingerprintBlocksSse2, findTagWayScalar,
-                findFreeWayScalar, Level::Sse2};
+                fingerprintBlocksSse2, findTagWayScalar, Level::Sse2};
       case Level::Scalar:
         break;
     }
@@ -514,12 +477,6 @@ findTagWay(const std::uint64_t *tags, std::uint32_t ways,
            std::uint64_t line_addr)
 {
     return state().findTagWay(tags, ways, line_addr);
-}
-
-std::uint32_t
-findFreeWay(const std::uint64_t *tags, std::uint32_t ways)
-{
-    return state().findFreeWay(tags, ways);
 }
 
 std::uint32_t

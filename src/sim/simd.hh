@@ -90,7 +90,7 @@ constexpr unsigned maskedCompareMaxLines = 48;
 void fingerprintBlocks(const std::uint8_t *data, std::size_t nblocks,
                        std::uint64_t h[4]);
 
-/** Sentinel returned by the way-scan kernels when nothing matched. */
+/** Sentinel returned by findTagWay when no way matched. */
 constexpr std::uint32_t noWay = 0xffffffffu;
 
 /**
@@ -106,18 +106,11 @@ std::uint32_t findTagWay(const std::uint64_t *tags, std::uint32_t ways,
                          std::uint64_t line_addr);
 
 /**
- * Index of the first way whose packed tag carries state Invalid
- * (low two bits zero), or noWay when the set is full. First-index
- * semantics are part of the contract: victim choice must not depend
- * on the dispatch tier.
- */
-std::uint32_t findFreeWay(const std::uint64_t *tags, std::uint32_t ways);
-
-/**
- * Index of the minimum of @p vals[0, n). Used for LRU victim
- * selection over a set's use timestamps, which are unique within a
- * cache (a strictly increasing clock), so all tiers agree without a
- * tie-break rule.
+ * Index of the *first* minimum of @p vals[0, n). Used for victim
+ * selection over a set's use timestamps: valid ways carry unique
+ * stamps >= 1 from a strictly increasing clock, and every invalid way
+ * carries 0, so ties occur by design and the first-index rule makes
+ * the first invalid way win on every tier.
  * @pre n > 0; values stay below 2^63.
  */
 std::uint32_t argminU64(const std::uint64_t *vals, std::uint32_t n);

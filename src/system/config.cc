@@ -10,6 +10,12 @@ SystemConfig::validate() const
 {
     if (numCores == 0)
         throw ConfigError("numCores must be at least 1");
+    if (numCores > LineResidency::maxCores)
+        throw ConfigError(
+            "numCores is capped at " +
+            std::to_string(LineResidency::maxCores) +
+            " (each line's cache-residency byte counts 2 per L2 holder"
+            " plus 1 for the L3)");
     if (numVms == 0)
         throw ConfigError("numVms must be at least 1");
     if (numVms > numCores)

@@ -4,9 +4,12 @@
  * inclusion, writebacks, snoop probes, and pollution accounting.
  */
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "cache/hierarchy.hh"
+#include "sim/rng.hh"
 
 namespace pageforge
 {
@@ -203,6 +206,84 @@ TEST_F(HierarchyTest, WritebackReachesMemoryOnL3Eviction)
         }
     }
     EXPECT_GT(hier.stats().value("writebacks_to_mem"), 0.0);
+}
+
+TEST(HierarchyResidencyTest, HolderByteStaysExactUnderRandomTraffic)
+{
+    // Tiny caches (L1 4 lines, L2 16, L3 64 per the geometry below)
+    // over four frames force evictions, back-invalidations and
+    // upgrades; a hot set of lines keeps peers sharing copies. After
+    // every operation each touched line's byte must equal
+    // 2 x (L2 holders) + (L3 holds), every L1 line must sit in its
+    // own core's L2, and an E or M line must have no other L2 copy.
+    constexpr unsigned cores = 4;
+    EventQueue eq;
+    PhysicalMemory mem(64);
+    MemController mc("mc0", eq, mem, DramConfig{});
+    Hierarchy hier("chip", eq, cores,
+                   CacheConfig{"l1", 4 * lineSize, 2, 2, 4},
+                   CacheConfig{"l2", 16 * lineSize, 4, 6, 8},
+                   CacheConfig{"l3", 64 * lineSize, 8, 20, 16},
+                   BusConfig{}, {&mc});
+    std::vector<Addr> lines;
+    for (int f = 0; f < 4; ++f) {
+        FrameId frame = mem.allocFrame();
+        for (std::uint32_t l = 0; l < linesPerPage; ++l)
+            lines.push_back(lineAddr(frame, l));
+    }
+    std::vector<bool> touched(lines.size(), false);
+
+    Rng rng(31);
+    Tick now = 0;
+    for (int step = 0; step < 20000; ++step) {
+        std::size_t i = rng.nextBounded(2) ? rng.nextBounded(24)
+                                           : rng.nextBounded(lines.size());
+        touched[i] = true;
+        Addr line = lines[i];
+        CoreId core = static_cast<CoreId>(rng.nextBounded(cores));
+        switch (rng.nextBounded(5)) {
+          case 0:
+            hier.snoopForMc(line, now);
+            break;
+          case 1:
+          case 2:
+            hier.access(core, line, true, now, Requester::App);
+            break;
+          default:
+            hier.access(core, line, false, now, Requester::App);
+            break;
+        }
+        now += 500;
+
+        for (std::size_t j = 0; j < lines.size(); ++j) {
+            if (!touched[j])
+                continue;
+            Addr l = lines[j];
+            unsigned expect = hier.l3().contains(l) ? 1 : 0;
+            unsigned owners = 0;
+            for (unsigned c = 0; c < cores; ++c) {
+                MesiState s2 = hier.l2(c).probe(l);
+                if (s2 == MesiState::Exclusive || s2 == MesiState::Modified)
+                    ++owners;
+                if (s2 != MesiState::Invalid) {
+                    expect += 2;
+                } else {
+                    ASSERT_FALSE(hier.l1(c).contains(l))
+                        << "L1/L2 inclusion broken, step " << step;
+                }
+            }
+            ASSERT_EQ(hier.residency().at(l), expect) << "step " << step;
+            // MESI: an E or M copy is the only L2 copy.
+            if (owners != 0) {
+                ASSERT_EQ(expect / 2, 1u) << "step " << step;
+            }
+            ASSERT_EQ(hier.anyCacheHolds(l), expect != 0);
+        }
+    }
+    EXPECT_GT(hier.l2(0).evictions(), 0u);
+    EXPECT_GT(hier.l3().evictions(), 0u);
+    EXPECT_GT(hier.stats().value("upgrades"), 0.0);
+    EXPECT_GT(hier.stats().value("c2c_transfers"), 0.0);
 }
 
 } // namespace

@@ -482,6 +482,23 @@ TEST(ConfigValidationTest, RejectsZeroCores)
     EXPECT_THROW(config.validate(), ConfigError);
 }
 
+TEST(ConfigValidationTest, CapsCoresAtTheResidencyByte)
+{
+    // A line's cache-residency byte counts 2 per L2 holder plus 1 for
+    // the L3: 127 cores top out at 255, 128 would wrap.
+    SystemConfig config;
+    config.numCores = 127;
+    EXPECT_NO_THROW(config.validate());
+    config.numCores = 128;
+    try {
+        config.validate();
+        ADD_FAILURE() << "128 cores accepted";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("127"), std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(ConfigValidationTest, RejectsMoreVmsThanCores)
 {
     SystemConfig config;

@@ -202,19 +202,10 @@ TEST(SimdTagScanTest, FindTagWayMatchesScalarOnRandomSets)
                     (tags[w] & 3))
                     ref = w;
             }
-            std::uint32_t ref_free = simd::noWay;
-            for (std::uint32_t w = 0;
-                 w < ways && ref_free == simd::noWay; ++w) {
-                if ((tags[w] & 3) == 0)
-                    ref_free = w;
-            }
-
             for (simd::Level level : usableLevels()) {
                 LevelGuard guard(level);
                 EXPECT_EQ(simd::findTagWay(tags.data(), ways, probe),
                           ref)
-                    << simd::levelName(level) << " ways=" << ways;
-                EXPECT_EQ(simd::findFreeWay(tags.data(), ways), ref_free)
                     << simd::levelName(level) << " ways=" << ways;
             }
         }
@@ -236,6 +227,40 @@ TEST(SimdTagScanTest, ArgminPicksUniqueMinimum)
             }
             EXPECT_EQ(simd::argminU64(vals.data(), n), ref);
         }
+    }
+}
+
+TEST(SimdTagScanTest, ArgminPicksFirstMinimumOnTies)
+{
+    // Cache victim choice relies on ties: every invalid way carries
+    // stamp 0, and the first one must win on every tier.
+    Rng rng(11);
+    for (std::uint32_t n : {1u, 2u, 8u, 16u, 20u}) {
+        for (int trial = 0; trial < 100; ++trial) {
+            std::vector<std::uint64_t> vals(n);
+            for (auto &v : vals) {
+                // Small values force repeats; a third of them are the
+                // invalid-way stamp 0.
+                v = rng.nextBounded(3) == 0 ? 0 : 1 + rng.nextBounded(4);
+            }
+            std::uint32_t ref = 0;
+            for (std::uint32_t i = 1; i < n; ++i) {
+                if (vals[i] < vals[ref])
+                    ref = i;
+            }
+            for (simd::Level level : usableLevels()) {
+                LevelGuard guard(level);
+                EXPECT_EQ(simd::argminU64(vals.data(), n), ref)
+                    << simd::levelName(level) << " n=" << n;
+            }
+        }
+    }
+    for (simd::Level level : usableLevels()) {
+        LevelGuard guard(level);
+        const std::uint64_t all_zero[4] = {0, 0, 0, 0};
+        EXPECT_EQ(simd::argminU64(all_zero, 4), 0u);
+        const std::uint64_t tail_ties[5] = {9, 7, 3, 3, 3};
+        EXPECT_EQ(simd::argminU64(tail_ties, 5), 2u);
     }
 }
 

@@ -113,7 +113,7 @@ usage(const char *prog)
         << "                      frames interleave frame %% N, one\n"
         << "                      PageForge module per controller\n"
         << "  --vms=N             fleet size: N VMs on N cores\n"
-        << "                      (default: the paper's 10)\n"
+        << "                      (default: the paper's 10; at most 127)\n"
         << "  --placement=P       ksmd placement: sticky|rr|random|pinned\n"
         << "  --churn=POLICY      VM churn: none|poisson|burst|rotate\n"
         << "  --churn-rate=X      arrivals and departures per second\n"
