@@ -55,7 +55,7 @@ main(int argc, char **argv)
 
     // KSM pinned to one core, approximating a dedicated simple core.
     progress("ksm dedicated core");
-    SystemConfig pinned_cfg;
+    SystemConfig pinned_cfg = opts.systemConfig();
     pinned_cfg.ksmPlacement = KsmPlacement::Pinned; // pins to last core
     // The dedicated core is an *extra* core: 11 cores, 10 VMs, so no
     // VM shares a core with the daemon.
@@ -67,7 +67,7 @@ main(int argc, char **argv)
 
     // KSM with uncacheable (cache-bypassing) accesses.
     progress("ksm uncacheable");
-    SystemConfig bypass_cfg;
+    SystemConfig bypass_cfg = opts.systemConfig();
     bypass_cfg.ksm.bypassCaches = true;
     ExperimentResult bypass = runExperiment(
         app, DedupMode::Ksm, opts.experimentConfig(), bypass_cfg);

@@ -32,10 +32,10 @@ main(int argc, char **argv)
                      "Merges", "Dedup BW (GB/s)", "Mean lat (norm)",
                      "p95 (norm)"});
 
-    SystemConfig defaults;
+    const SystemConfig defaults = opts.systemConfig();
     for (unsigned mult : {1u, 2u, 4u}) {
         progress("scan rate x" + std::to_string(mult));
-        SystemConfig sys_cfg;
+        SystemConfig sys_cfg = defaults;
         sys_cfg.pfDriver.pagesToScan =
             defaults.pfDriver.pagesToScan * mult;
         ExperimentResult result = runExperiment(

@@ -30,7 +30,7 @@ main(int argc, char **argv)
 
     for (unsigned entries : {7u, 15u, 31u, 63u}) {
         progress("scan table entries = " + std::to_string(entries));
-        SystemConfig sys_cfg;
+        SystemConfig sys_cfg = opts.systemConfig();
         sys_cfg.pfModule.scanTableEntries = entries;
         ExperimentResult result = runExperiment(
             app, DedupMode::PageForge, opts.experimentConfig(), sys_cfg);

@@ -29,25 +29,8 @@ main(int argc, char **argv)
     base.churn.meanLifetime = msToTicks(opts.quick ? 25 : 40);
     base.churn.maxDynamicVms = 8;
 
-    CampaignSpec spec;
-    spec.modes = {DedupMode::Ksm, DedupMode::PageForge};
-    spec.experiment = base;
-    spec.jobs = opts.jobs;
-    spec.progress = [](const CellOutcome &outcome, std::size_t done,
-                       std::size_t total) {
-        progress("[" + std::to_string(done) + "/" +
-                 std::to_string(total) + "] " + outcome.cell.app +
-                 " / " + dedupModeName(outcome.cell.mode) +
-                 (outcome.ok ? "" : ": " + outcome.error));
-    };
-
-    CampaignReport report = runCampaign(spec);
-    for (const CellOutcome &outcome : report.cells)
-        if (!outcome.ok)
-            fatal("campaign cell %s/%s failed: %s",
-                  outcome.cell.app.c_str(),
-                  dedupModeName(outcome.cell.mode),
-                  outcome.error.c_str());
+    CampaignReport report = runBenchCampaign(
+        opts, base, {DedupMode::Ksm, DedupMode::PageForge});
 
     TablePrinter table("Merge recovery under burst churn "
                        "(clone arrivals, exponential lifetimes)");

@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared plumbing for the per-table/per-figure bench harnesses.
+ * Shared plumbing for the bench harnesses.
  *
  * Every harness accepts:
  *   --quick        small memory images and short windows (CI-sized)
@@ -66,6 +66,15 @@ struct BenchOptions
         }
         return cfg;
     }
+
+    /** The simulated machine: Table 2 defaults at --num-mcs. */
+    SystemConfig
+    systemConfig() const
+    {
+        SystemConfig cfg;
+        cfg.numMcs = numMcs;
+        return cfg;
+    }
 };
 
 inline BenchOptions
@@ -122,22 +131,24 @@ inline ExperimentResult
 runOne(const AppProfile &app, DedupMode mode, const BenchOptions &opts)
 {
     progress(app.name + " / " + dedupModeName(mode));
-    return runExperiment(app, mode, opts.experimentConfig());
+    return runExperiment(app, mode, opts.experimentConfig(),
+                         opts.systemConfig());
 }
 
 /**
- * Run the (all apps x @p modes) matrix through the parallel campaign
- * runner. A bench needs every row of its table, so any failed cell is
- * fatal here.
+ * Run the (all apps x @p modes) matrix of @p experiment through the
+ * parallel campaign runner. A bench needs every row of its table, so
+ * any failed cell is fatal here.
  */
 inline CampaignReport
-runBenchCampaign(const BenchOptions &opts, std::vector<DedupMode> modes)
+runBenchCampaign(const BenchOptions &opts, const ExperimentConfig &experiment,
+                 std::vector<DedupMode> modes)
 {
     CampaignSpec spec;
     spec.modes = std::move(modes);
-    spec.experiment = opts.experimentConfig();
+    spec.experiment = experiment;
     spec.jobs = opts.jobs;
-    spec.sysTemplate.numMcs = opts.numMcs;
+    spec.sysTemplate = opts.systemConfig();
     spec.progress = [](const CellOutcome &outcome, std::size_t done,
                        std::size_t total) {
         progress("[" + std::to_string(done) + "/" +
