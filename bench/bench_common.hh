@@ -126,6 +126,17 @@ progress(const std::string &what)
     std::fprintf(stderr, "[bench] %s\n", what.c_str());
 }
 
+/** Campaign progress callback: one note per finished cell. */
+inline void
+cellProgress(const CellOutcome &outcome, std::size_t done,
+             std::size_t total)
+{
+    progress("[" + std::to_string(done) + "/" + std::to_string(total) +
+             "] " + outcome.cell.app + " / " +
+             dedupModeName(outcome.cell.mode) +
+             (outcome.ok ? "" : ": " + outcome.error));
+}
+
 /** Run one experiment with a progress note. */
 inline ExperimentResult
 runOne(const AppProfile &app, DedupMode mode, const BenchOptions &opts)
@@ -149,13 +160,7 @@ runBenchCampaign(const BenchOptions &opts, const ExperimentConfig &experiment,
     spec.experiment = experiment;
     spec.jobs = opts.jobs;
     spec.sysTemplate = opts.systemConfig();
-    spec.progress = [](const CellOutcome &outcome, std::size_t done,
-                       std::size_t total) {
-        progress("[" + std::to_string(done) + "/" +
-                 std::to_string(total) + "] " + outcome.cell.app +
-                 " / " + dedupModeName(outcome.cell.mode) +
-                 (outcome.ok ? "" : ": " + outcome.error));
-    };
+    spec.progress = cellProgress;
 
     CampaignReport report = runCampaign(spec);
     progress("campaign: " + std::to_string(report.cells.size()) +

@@ -87,14 +87,9 @@ runFaultCampaign(const BenchOptions &opts,
     spec.modes = std::move(modes);
     spec.experiment = opts.experimentConfig();
     spec.experiment.faults = faultsAt(accel_mult, opts.seed);
+    spec.sysTemplate = opts.systemConfig();
     spec.jobs = opts.jobs;
-    spec.progress = [](const CellOutcome &outcome, std::size_t done,
-                       std::size_t total) {
-        progress("[" + std::to_string(done) + "/" +
-                 std::to_string(total) + "] " + outcome.cell.app +
-                 " / " + dedupModeName(outcome.cell.mode) +
-                 (outcome.ok ? "" : ": " + outcome.error));
-    };
+    spec.progress = cellProgress;
 
     CampaignReport report = runCampaign(spec);
     for (const CellOutcome &outcome : report.cells) {
@@ -204,6 +199,7 @@ runMcFailureCampaign(const BenchOptions &opts, double wedge_rate)
     spec.experiment.faults.seed = opts.seed;
     // The recovery-curve columns come from this sampled series.
     spec.experiment.metricsInterval = usToTicks(100);
+    spec.sysTemplate = opts.systemConfig();
     spec.sysTemplate.numMcs = kFleetMcs;
     spec.jobs = opts.jobs;
 

@@ -2,11 +2,14 @@
  * @file
  * google-benchmark microbenchmarks for the hot primitives of the
  * simulator: (72,64) SECDED encode/decode, line ECC, jhash2, the
- * ECC page key, page comparison, and red-black tree search.
+ * ECC page key, page comparison, red-black tree search, and each page
+ * and tag kernel of sim/simd.hh (the baseline any faster kernel has
+ * to beat).
  */
 
 #include <array>
 #include <memory>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +17,7 @@
 #include "ecc/jhash.hh"
 #include "ksm/content_tree.hh"
 #include "sim/rng.hh"
+#include "sim/simd.hh"
 
 namespace pageforge
 {
@@ -106,6 +110,94 @@ BM_ComparePagesEarlyDivergence(benchmark::State &state)
         benchmark::DoNotOptimize(comparePages(a.data(), b.data()));
 }
 BENCHMARK(BM_ComparePagesEarlyDivergence);
+
+// ---- sim/simd.hh kernels ----------------------------------------------
+
+/** firstDiff over a page whose copy differs at byte Arg (pageSize = equal). */
+void
+BM_FirstDiff(benchmark::State &state)
+{
+    auto a = randomPage(9);
+    auto b = a;
+    const auto diff_at = static_cast<std::uint32_t>(state.range(0));
+    if (diff_at < pageSize)
+        b[diff_at] ^= 0x01;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            simd::firstDiff(a.data(), b.data(), 0, pageSize));
+}
+BENCHMARK(BM_FirstDiff)
+    ->ArgName("diff_at")
+    ->Arg(pageSize)
+    ->Arg(2000)
+    ->Arg(3);
+
+/** rangeEqual over two equal ranges of Arg bytes (a page or a line). */
+void
+BM_RangeEqual(benchmark::State &state)
+{
+    auto a = randomPage(10);
+    auto b = a;
+    const auto len = static_cast<std::uint32_t>(state.range(0));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(simd::rangeEqual(a.data(), b.data(), len));
+    state.SetBytesProcessed(
+        static_cast<std::int64_t>(state.iterations()) * len);
+}
+BENCHMARK(BM_RangeEqual)->ArgName("len")->Arg(pageSize)->Arg(lineSize);
+
+void
+BM_AllZeroPage(benchmark::State &state)
+{
+    std::array<std::uint8_t, pageSize> page{};
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(page.data());
+        benchmark::DoNotOptimize(simd::allZero(page.data(), pageSize));
+    }
+    state.SetBytesProcessed(
+        static_cast<std::int64_t>(state.iterations()) * pageSize);
+}
+BENCHMARK(BM_AllZeroPage);
+
+void
+BM_FingerprintBlocksPage(benchmark::State &state)
+{
+    auto page = randomPage(11);
+    std::uint64_t h[4] = {1, 2, 3, 4};
+    for (auto _ : state) {
+        simd::fingerprintBlocks(page.data(), pageSize / 32, h);
+        benchmark::DoNotOptimize(h);
+    }
+    state.SetBytesProcessed(
+        static_cast<std::int64_t>(state.iterations()) * pageSize);
+}
+BENCHMARK(BM_FingerprintBlocksPage);
+
+/**
+ * findTagWay over a full Arg-way set (L1/L2: 8, L3: 20). The probes
+ * cycle through every way's line and one absent line, so hits at each
+ * position and a full-set miss are all in the mix.
+ */
+void
+BM_FindTagWay(benchmark::State &state)
+{
+    const auto ways = static_cast<std::uint32_t>(state.range(0));
+    std::vector<std::uint64_t> tags(ways);
+    std::vector<std::uint64_t> probes;
+    for (std::uint32_t w = 0; w < ways; ++w) {
+        std::uint64_t line = (w + 1) * 4096ULL * lineSize;
+        tags[w] = line | 1; // a valid (nonzero) MESI state
+        probes.push_back(line);
+    }
+    probes.push_back((ways + 1) * 4096ULL * lineSize);
+    std::size_t next = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            simd::findTagWay(tags.data(), ways, probes[next]));
+        next = next + 1 == probes.size() ? 0 : next + 1;
+    }
+}
+BENCHMARK(BM_FindTagWay)->ArgName("ways")->Arg(8)->Arg(20);
 
 /** Accessor over a preallocated pool for the tree benchmark. */
 class PoolAccessor : public PageAccessor

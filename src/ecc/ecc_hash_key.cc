@@ -1,18 +1,9 @@
 #include "ecc/ecc_hash_key.hh"
 
-#include <bit>
 #include <cstring>
 
 #include "ecc/hamming7264.hh"
 #include "sim/logging.hh"
-#include "sim/simd.hh"
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define PF_ECC_SIMD_X86 1
-#include <immintrin.h>
-#else
-#define PF_ECC_SIMD_X86 0
-#endif
 
 namespace pageforge
 {
@@ -23,24 +14,9 @@ namespace
 // A line's minikey is the check byte of its first 64-bit word
 // (LineEcc::minikey(code) == code[0] == Hamming7264::encode(word 0)),
 // so the page hash needs one Hamming encode per sampled line rather
-// than a whole-line encode. The kernels below compute the four check
-// bytes; every tier reproduces Hamming7264::encode() bit-for-bit.
-
-/** encode()'s tail: acc bits 0-6 = check parities, bit 7 = data parity. */
-inline std::uint32_t
-finishCheck(std::uint8_t acc)
-{
-    std::uint8_t check = acc & 0x7f;
-    unsigned overall = static_cast<unsigned>(acc >> 7) ^
-        static_cast<unsigned>(std::popcount(
-            static_cast<unsigned>(check)) & 1);
-    if (overall)
-        check |= 0x80;
-    return check;
-}
-
+// than a whole-line encode.
 std::uint32_t
-minikeys4Scalar(const std::uint64_t words[eccHashSections])
+minikeys4(const std::uint64_t words[eccHashSections])
 {
     std::uint32_t key = 0;
     for (unsigned s = 0; s < eccHashSections; ++s) {
@@ -48,101 +24,6 @@ minikeys4Scalar(const std::uint64_t words[eccHashSections])
             << (8 * s);
     }
     return key;
-}
-
-#if PF_ECC_SIMD_X86
-
-// Even-parity of each 64-bit lane, folded to bit 0.
-
-__attribute__((target("sse2"))) inline __m128i
-parityBitSse2(__m128i v)
-{
-    v = _mm_xor_si128(v, _mm_srli_epi64(v, 32));
-    v = _mm_xor_si128(v, _mm_srli_epi64(v, 16));
-    v = _mm_xor_si128(v, _mm_srli_epi64(v, 8));
-    v = _mm_xor_si128(v, _mm_srli_epi64(v, 4));
-    v = _mm_xor_si128(v, _mm_srli_epi64(v, 2));
-    v = _mm_xor_si128(v, _mm_srli_epi64(v, 1));
-    return _mm_and_si128(v, _mm_set1_epi64x(1));
-}
-
-__attribute__((target("sse2"))) std::uint32_t
-minikeys4Sse2(const std::uint64_t words[eccHashSections])
-{
-    __m128i w01 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(words));
-    __m128i w23 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(words + 2));
-    __m128i acc01 = _mm_setzero_si128();
-    __m128i acc23 = _mm_setzero_si128();
-    for (unsigned i = 0; i < 7; ++i) {
-        __m128i mask = _mm_set1_epi64x(
-            static_cast<long long>(Hamming7264::checkMask(i)));
-        acc01 = _mm_or_si128(acc01, _mm_slli_epi64(
-            parityBitSse2(_mm_and_si128(w01, mask)), i));
-        acc23 = _mm_or_si128(acc23, _mm_slli_epi64(
-            parityBitSse2(_mm_and_si128(w23, mask)), i));
-    }
-    acc01 = _mm_or_si128(acc01, _mm_slli_epi64(parityBitSse2(w01), 7));
-    acc23 = _mm_or_si128(acc23, _mm_slli_epi64(parityBitSse2(w23), 7));
-    alignas(16) std::uint64_t lanes[eccHashSections];
-    _mm_store_si128(reinterpret_cast<__m128i *>(lanes), acc01);
-    _mm_store_si128(reinterpret_cast<__m128i *>(lanes + 2), acc23);
-    std::uint32_t key = 0;
-    for (unsigned s = 0; s < eccHashSections; ++s)
-        key |= finishCheck(static_cast<std::uint8_t>(lanes[s])) << (8 * s);
-    return key;
-}
-
-__attribute__((target("avx2"))) inline __m256i
-parityBitAvx2(__m256i v)
-{
-    v = _mm256_xor_si256(v, _mm256_srli_epi64(v, 32));
-    v = _mm256_xor_si256(v, _mm256_srli_epi64(v, 16));
-    v = _mm256_xor_si256(v, _mm256_srli_epi64(v, 8));
-    v = _mm256_xor_si256(v, _mm256_srli_epi64(v, 4));
-    v = _mm256_xor_si256(v, _mm256_srli_epi64(v, 2));
-    v = _mm256_xor_si256(v, _mm256_srli_epi64(v, 1));
-    return _mm256_and_si256(v, _mm256_set1_epi64x(1));
-}
-
-__attribute__((target("avx2"))) std::uint32_t
-minikeys4Avx2(const std::uint64_t words[eccHashSections])
-{
-    __m256i w =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(words));
-    __m256i acc = _mm256_setzero_si256();
-    for (unsigned i = 0; i < 7; ++i) {
-        __m256i mask = _mm256_set1_epi64x(
-            static_cast<long long>(Hamming7264::checkMask(i)));
-        acc = _mm256_or_si256(acc, _mm256_slli_epi64(
-            parityBitAvx2(_mm256_and_si256(w, mask)), i));
-    }
-    acc = _mm256_or_si256(acc, _mm256_slli_epi64(parityBitAvx2(w), 7));
-    alignas(32) std::uint64_t lanes[eccHashSections];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), acc);
-    std::uint32_t key = 0;
-    for (unsigned s = 0; s < eccHashSections; ++s)
-        key |= finishCheck(static_cast<std::uint8_t>(lanes[s])) << (8 * s);
-    return key;
-}
-
-#endif // PF_ECC_SIMD_X86
-
-std::uint32_t
-minikeys4(const std::uint64_t words[eccHashSections])
-{
-#if PF_ECC_SIMD_X86
-    switch (simd::activeLevel()) {
-      case simd::Level::Avx2:
-        return minikeys4Avx2(words);
-      case simd::Level::Sse2:
-        return minikeys4Sse2(words);
-      case simd::Level::Scalar:
-        break;
-    }
-#endif
-    return minikeys4Scalar(words);
 }
 
 } // namespace

@@ -114,13 +114,6 @@ Hamming7264::dataBitPosition(unsigned data_bit)
     return position_map.dataToPos[data_bit];
 }
 
-std::uint64_t
-Hamming7264::checkMask(unsigned i)
-{
-    pf_assert(i < 7, "check bit %u out of range", i);
-    return check_masks.mask[i];
-}
-
 std::uint8_t
 Hamming7264::encode(std::uint64_t data)
 {

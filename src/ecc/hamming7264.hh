@@ -51,13 +51,6 @@ class Hamming7264
      */
     static EccDecodeResult decode(std::uint64_t data, std::uint8_t check);
 
-    /**
-     * Data-bit coverage mask of check bit @p i (0..6): check bit i is
-     * the even parity of `data & checkMask(i)`. Exposed so vectorized
-     * encoders can compute the same parities without the byte tables.
-     */
-    static std::uint64_t checkMask(unsigned i);
-
   private:
     /** Hamming codeword position (1-based) of data bit @p data_bit. */
     static unsigned dataBitPosition(unsigned data_bit);

@@ -107,8 +107,7 @@ pageFingerprint64(const std::uint8_t *data, std::size_t len)
     // Four independent xorshift-multiply lanes (splitmix64 finalizer
     // constants), 32 bytes per iteration: a single lane's multiply
     // latency chain caps throughput near one word per five cycles,
-    // while four lanes pipeline. The block loop is dispatched through
-    // the SIMD layer; every variant produces bit-identical lane state.
+    // while four lanes pipeline.
     std::uint64_t h[4] = {0x9e3779b97f4a7c15ULL ^ len,
                           0xbf58476d1ce4e5b9ULL,
                           0x94d049bb133111ebULL,

@@ -43,7 +43,7 @@ namespace prof
 enum class Site : unsigned {
     EventDispatch,     ///< event-kernel dispatch (EventQueue::runUntil)
     ContentTreeSearch, ///< ContentTree::search full walk
-    SimdCompare,       ///< SIMD page-compare kernels
+    SimdCompare,       ///< page-compare kernels (sim/simd.hh)
     EccCompute,        ///< ECC encode on MC line accesses
     ScanTableWalk,     ///< PageForgeModule batch processing
     MetricsSample,     ///< MetricsSampler periodic sampling

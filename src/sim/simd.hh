@@ -1,30 +1,23 @@
 /**
  * @file
- * Runtime-dispatched SIMD kernels for the page-content hot paths.
+ * Byte-level kernels for the page-content hot paths.
  *
- * The simulator's wall-clock is dominated by byte-level work over
- * 4 KB pages: locating the first differing byte of two pages (the
- * content-tree compares), whole-page equality checks (merge verify),
- * zero-page detection, and the fingerprint/hash loops. This module
- * provides AVX2 and SSE2 implementations of those primitives next to
- * portable scalar fallbacks, selected once at startup via cpuid.
+ * The simulator's byte-level work over 4 KB pages sits here: locating
+ * the first differing byte of two pages (the content-tree compares),
+ * whole-page equality checks (merge verify), zero-page detection, the
+ * fingerprint mixing loop and the cache tag-set scan. Each kernel has
+ * one portable scalar implementation; the memcmp-based ones inherit
+ * the C library's vectorization.
  *
- * Every variant is bit-identical by construction: the kernels return
- * exact byte offsets and exact hash values, so modelled statistics
- * (bytes examined, lines fetched, hash keys) cannot depend on the
- * host's instruction set. The golden-stats suite and the CI
- * dispatch-equivalence leg enforce this invariant by running the same
- * campaigns with `PF_FORCE_SCALAR=1` and diffing the results.
- *
- * Overrides: the environment variable `PF_FORCE_SCALAR` (set and not
- * "0") pins the scalar kernels before first use; `setLevel()` (also
- * reachable via `pfsim --force-scalar`) switches levels
- * programmatically, e.g. from tests that cross-check variants.
+ * The kernels return exact byte offsets and exact hash values, so
+ * modelled statistics (bytes examined, lines fetched, hash keys) are
+ * the same on every host.
  */
 
 #ifndef PF_SIM_SIMD_HH
 #define PF_SIM_SIMD_HH
 
+#include <cstddef>
 #include <cstdint>
 
 namespace pageforge
@@ -32,30 +25,28 @@ namespace pageforge
 namespace simd
 {
 
-/** Instruction-set tier of the active kernels. */
+/**
+ * Instruction-set tier of the kernels. Only the scalar tier exists;
+ * the name survives for the host benchmark's stamp line.
+ */
 enum class Level
 {
     Scalar = 0,
-    Sse2 = 1,
-    Avx2 = 2,
 };
 
-/** Tier selected by detection (or forced); resolved on first use. */
-Level activeLevel();
+/** Tier of the kernels in use: always Level::Scalar. */
+inline Level
+activeLevel()
+{
+    return Level::Scalar;
+}
 
-/** Best tier the host supports, ignoring any override. */
-Level bestLevel();
-
-/** Human-readable tier name ("scalar", "sse2", "avx2"). */
-const char *levelName(Level level);
-
-/**
- * Force the active tier. Returns false (and leaves the dispatch
- * unchanged) if the host cannot execute @p level. Not thread-safe
- * against concurrent kernel calls; switch levels only from
- * single-threaded context (startup flags, tests).
- */
-bool setLevel(Level level);
+/** Human-readable tier name ("scalar"). */
+inline const char *
+levelName(Level)
+{
+    return "scalar";
+}
 
 /**
  * Index of the first byte in [from, len) where @p a and @p b differ,
@@ -85,7 +76,6 @@ constexpr unsigned maskedCompareMaxLines = 48;
  * each of @p nblocks consecutive 32 B blocks, lane i absorbs the
  * block's i-th little-endian 64-bit word as
  * `h[i] ^= w; h[i] *= 0xbf58476d1ce4e5b9; h[i] ^= h[i] >> 31`.
- * All tiers produce identical lane values.
  */
 void fingerprintBlocks(const std::uint8_t *data, std::size_t nblocks,
                        std::uint64_t h[4]);
@@ -98,9 +88,9 @@ constexpr std::uint32_t noWay = 0xffffffffu;
  * @p line_addr, or noWay. A packed tag is the 64 B-aligned line
  * address OR'd with a nonzero 2-bit MESI state (an invalid way stores
  * 0), so a match is exactly `tag ^ line_addr` in {1, 2, 3}. At most
- * one way can match (a line is resident at most once per cache), so
- * every tier trivially agrees with the scalar first-match scan.
- * @pre line_addr is 64 B aligned; tag values stay below 2^63.
+ * one way can match (a line is resident at most once per cache); the
+ * scan returns the first match.
+ * @pre line_addr is 64 B aligned.
  */
 std::uint32_t findTagWay(const std::uint64_t *tags, std::uint32_t ways,
                          std::uint64_t line_addr);
@@ -110,7 +100,7 @@ std::uint32_t findTagWay(const std::uint64_t *tags, std::uint32_t ways,
  * selection over a set's use timestamps: valid ways carry unique
  * stamps >= 1 from a strictly increasing clock, and every invalid way
  * carries 0, so ties occur by design and the first-index rule makes
- * the first invalid way win on every tier.
+ * the first invalid way win.
  * @pre n > 0; values stay below 2^63.
  */
 std::uint32_t argminU64(const std::uint64_t *vals, std::uint32_t n);

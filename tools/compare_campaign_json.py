@@ -5,13 +5,12 @@ Usage: compare_campaign_json.py A.json B.json
 
 The simulator's contract is that modelled results are a pure function
 of the configuration and seed — never of the host: not its wall-clock,
-its load, or its instruction set (the SIMD dispatch tiers are
-bit-identical by construction). This script enforces that contract for
-CI's dispatch-equivalence leg: a campaign run natively and one run
-under PF_FORCE_SCALAR=1 must produce byte-equal reports once the
-host-measurement fields are stripped. The same holds across worker
-counts, so the worker count itself (`jobs`) is stripped too: a
-`--jobs=1` campaign and a `--jobs=N` one must compare equal.
+its load, or the number of campaign workers. This script enforces that
+contract: two campaigns of the same configuration must produce
+byte-equal reports once the host-measurement fields are stripped. The
+worker count itself (`jobs`) is stripped too, so CI diffs a `--jobs=1`
+campaign against a `--jobs=4` one, and a refactor can diff its
+campaign against the parent commit's.
 
 Exit status: 0 identical, 1 different, 2 usage/IO error.
 """

@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "prof/profiler.hh"
-#include "sim/simd.hh"
 #include "stats/table.hh"
 #include "system/campaign.hh"
 #include "system/system.hh"
@@ -52,7 +51,6 @@ struct Options
     unsigned numMcs = 1;
     unsigned vms = 0;  //!< 0 = Table 2 default fleet (10 VMs)
     bool dumpStats = false;
-    bool forceScalar = false;
     KsmPlacement placement = KsmPlacement::Sticky;
 
     // ---- observability ----
@@ -120,9 +118,6 @@ usage(const char *prog)
         << "  --template-app=A    app profile for churned VMs "
            "(default: --app)\n"
         << "  --dump-stats        print the full component stats dump\n"
-        << "  --force-scalar      pin the scalar page-compare kernels\n"
-        << "                      (same effect as PF_FORCE_SCALAR=1);\n"
-        << "                      results are bit-identical either way\n"
         << "fault injection:\n"
         << "  --faults=SPEC       enable fault injection; SPEC is k=v\n"
         << "                      pairs: rate (bit flips/GB/s),\n"
@@ -247,8 +242,6 @@ parse(int argc, char **argv)
                 usage(argv[0]);
         } else if (arg == "--dump-stats") {
             opts.dumpStats = true;
-        } else if (arg == "--force-scalar") {
-            opts.forceScalar = true;
         } else if (arg == "--trace") {
             opts.trace = true;
         } else if (const char *v = value("--trace=")) {
@@ -460,8 +453,6 @@ main(int argc, char **argv)
 {
     Options opts = parse(argc, argv);
 
-    if (opts.forceScalar)
-        simd::setLevel(simd::Level::Scalar);
     // Arm the profiler before any system exists, so setup and warm-up
     // are timed too.
     if (opts.profile)
