@@ -31,8 +31,7 @@ PageForgeDriver::PageForgeDriver(std::string name, EventQueue &eq,
               map.numShards(), router.numMcs(), numShards());
     for (unsigned shard = 0; shard < numShards(); ++shard) {
         _apis[shard]->module().setEccOffsets(config.eccOffsets);
-        _stables.push_back(std::make_unique<ContentTree>(
-            _stableAcc, /*immutable_contents=*/true));
+        _stables.push_back(std::make_unique<ContentTree>(_stableAcc));
         _unstables.push_back(std::make_unique<ContentTree>(_guestAcc));
         _pipelines.push_back(std::make_unique<Pipeline>());
         _pipelines.back()->shard = shard;
@@ -651,9 +650,7 @@ PageForgeDriver::handleUnstableMatch(Pipeline &p, ContentTree::Node *node)
         ++_mergeStats.pagesDropped;
         return Action::CandidateDone;
     }
-    if (!_hyper.pagesEqual(
-            _hyper.vm(p.candidate.vm).page(p.candidate.gpn),
-            _hyper.vm(other.vm).page(other.gpn))) {
+    if (!mem.framesEqual(cand_frame, other_frame)) {
         // Hardware said Duplicate; the final software compare says
         // otherwise — a racing write or a false key match.
         ++_mergeStats.pagesDropped;

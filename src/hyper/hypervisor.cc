@@ -1,13 +1,11 @@
 #include "hyper/hypervisor.hh"
 
-#include <bit>
 #include <cstring>
 #include <unordered_map>
 
 #include "ecc/jhash.hh"
 #include "fault/merge_oracle.hh"
 #include "sim/logging.hh"
-#include "sim/simd.hh"
 
 namespace pageforge
 {
@@ -278,82 +276,10 @@ Hypervisor::touchPage(VmId vm_id, GuestPageNum gpn)
         page.frame = _mem.allocFrame(true);
         page.mapped = true;
         page.cow = false;
-        page.cowSrcFrame = invalidFrame;
         page.invalidateHashCache();
         ++_softFaults;
     }
     return page.frame;
-}
-
-bool
-Hypervisor::forkValid(const PageState &page) const
-{
-    // allocFrame bumps the generation, so a freed-and-recycled source
-    // (or one written since the fork) can never validate.
-    return page.mapped && page.cowSrcFrame != invalidFrame &&
-        _mem.isAllocated(page.cowSrcFrame) &&
-        _mem.writeGen(page.cowSrcFrame) == page.cowSrcGen;
-}
-
-namespace
-{
-
-/**
- * Equality of two frames given that every line whose bit is clear in
- * @p mask is already known identical: only set lines are compared.
- */
-bool
-maskedFramesEqual(const PhysicalMemory &mem, FrameId a, FrameId b,
-                  std::uint64_t mask)
-{
-    const std::uint8_t *da = mem.data(a);
-    const std::uint8_t *db = mem.data(b);
-    while (mask) {
-        std::uint32_t line =
-            static_cast<std::uint32_t>(std::countr_zero(mask));
-        mask &= mask - 1;
-        if (!simd::rangeEqual(da + line * lineSize, db + line * lineSize,
-                              lineSize))
-            return false;
-    }
-    return true;
-}
-
-} // namespace
-
-bool
-Hypervisor::pageEqualsFrame(const PageState &page, FrameId target) const
-{
-    if (page.frame == target)
-        return true;
-    if (forkValid(page) && page.cowSrcFrame == target) {
-        // Clean lines of the fork still match the (unchanged) source,
-        // so only dirtied lines can differ.
-        std::uint64_t dirty = _mem.dirtyMask(page.frame);
-        if (std::popcount(dirty) <= simd::maskedCompareMaxLines)
-            return maskedFramesEqual(_mem, page.frame, target, dirty);
-    }
-    return _mem.framesEqual(page.frame, target);
-}
-
-bool
-Hypervisor::pagesEqual(const PageState &a, const PageState &b) const
-{
-    if (a.frame == b.frame)
-        return true;
-    if (forkValid(a) && a.cowSrcFrame == b.frame)
-        return pageEqualsFrame(a, b.frame);
-    if (forkValid(b) && b.cowSrcFrame == a.frame)
-        return pageEqualsFrame(b, a.frame);
-    if (forkValid(a) && forkValid(b) && a.cowSrcFrame == b.cowSrcFrame) {
-        // Sibling forks of one unchanged source: lines clean on both
-        // sides equal the source's, hence each other.
-        std::uint64_t dirty =
-            _mem.dirtyMask(a.frame) | _mem.dirtyMask(b.frame);
-        if (std::popcount(dirty) <= simd::maskedCompareMaxLines)
-            return maskedFramesEqual(_mem, a.frame, b.frame, dirty);
-    }
-    return _mem.framesEqual(a.frame, b.frame);
 }
 
 WriteOutcome
@@ -378,18 +304,8 @@ Hypervisor::writeToPage(VmId vm_id, GuestPageNum gpn,
         // migrate guests off poisoned frames, draining them toward
         // full quarantine.
         FrameId source = page.frame;
-        // Sample the source generation before the copy: while the
-        // source still holds it, the copy's clean lines are provably
-        // identical to the source's.
-        std::uint64_t source_gen = _mem.writeGen(source);
         FrameId copy = _mem.allocFrame(false);
         std::memcpy(_mem.data(copy), _mem.data(source), pageSize);
-        // The copy now byte-matches the source: anchor its dirty mask
-        // and record the fork so later compares against the source (or
-        // a sibling fork) only need to look at dirtied lines.
-        _mem.clearDirty(copy);
-        page.cowSrcFrame = source;
-        page.cowSrcGen = source_gen;
         _mem.decRef(source);
         page.frame = copy;
         page.cow = false;
@@ -472,7 +388,7 @@ Hypervisor::mergeIntoFrame(const PageKey &candidate, FrameId target)
 
     // Merging unequal pages would corrupt guest memory; the final
     // compare under write protection (Section 3.5) guarantees this.
-    if (!equal || !pageEqualsFrame(page, target))
+    if (!equal || !_mem.framesEqual(page.frame, target))
         panicAt("hypervisor", curTick(),
                 "merge of non-identical pages (vm %u gpn %llu -> "
                 "frame %u)",
@@ -490,7 +406,6 @@ Hypervisor::mergeIntoFrame(const PageKey &candidate, FrameId target)
     _mem.decRef(old_frame);
     page.frame = target;
     page.cow = true;
-    page.cowSrcFrame = invalidFrame;
     if (hashes_current) {
         page.hashFrame = target;
         page.hashGen = _mem.writeGen(target);
@@ -513,7 +428,7 @@ Hypervisor::tryMergeIntoFrame(const PageKey &candidate, FrameId target)
         return false;
     if (page.frame == target)
         return false;
-    if (!pageEqualsFrame(page, target))
+    if (!_mem.framesEqual(page.frame, target))
         return false;
     return mergeIntoFrame(candidate, target);
 }

@@ -214,28 +214,6 @@ class Hypervisor : public SimObject
      */
     FrameId mergePair(const PageKey &candidate, const PageKey &keeper);
 
-    /**
-     * True while @p page 's CoW fork relation is still trustworthy:
-     * the source frame is live and unwritten since the fork, so the
-     * page's clean (dirty-mask-clear) lines provably still match it.
-     */
-    bool forkValid(const PageState &page) const;
-
-    /**
-     * Byte-exact equality of @p page 's content with frame @p target,
-     * using the dirty-line mask to skip lines the CoW fork relation
-     * proves equal. Always returns exactly what
-     * framesEqual(page.frame, target) would.
-     */
-    bool pageEqualsFrame(const PageState &page, FrameId target) const;
-
-    /**
-     * Byte-exact equality of two pages' contents, mask-accelerated
-     * when either page (or both, as sibling forks) was CoW-copied
-     * from the other's frame or a common source.
-     */
-    bool pagesEqual(const PageState &a, const PageState &b) const;
-
     /** Total merge operations performed. */
     std::uint64_t merges() const { return _merges.value(); }
 

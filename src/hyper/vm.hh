@@ -71,21 +71,10 @@ struct PageState
 
     // --- host-side acceleration state (no modelled semantics) -------
     //
-    // These fields only let the simulator skip host work whose result
-    // is provably unchanged; every modelled statistic behaves as if
-    // they did not exist.
-
-    /**
-     * CoW fork relation: this page's private frame was copied from
-     * cowSrcFrame when the source held write generation cowSrcGen.
-     * While the source still holds that generation, every line of this
-     * page's frame whose dirty bit is clear is byte-identical to the
-     * same line of the source frame. Invalid once frame changes or the
-     * source is freed/rewritten (generation mismatch; allocFrame bumps
-     * the generation, so recycled sources can never validate).
-     */
-    FrameId cowSrcFrame = invalidFrame;
-    std::uint64_t cowSrcGen = 0;
+    // The hash-skip cache only lets the simulator skip re-hashing a
+    // page whose content is provably unchanged; every modelled
+    // statistic behaves as if it did not exist. Page compares keep no
+    // such state: every one runs over the whole page from byte 0.
 
     /**
      * Hash-skip cache: the scan-time hash keys above (lastJhash /

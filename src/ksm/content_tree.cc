@@ -1,8 +1,5 @@
 #include "ksm/content_tree.hh"
 
-#include <algorithm>
-#include <bit>
-#include <cstring>
 #include <vector>
 
 #include "prof/profiler.hh"
@@ -13,47 +10,13 @@ namespace pageforge
 {
 
 PageCompare
-comparePagesFrom(const std::uint8_t *a, const std::uint8_t *b,
-                 std::uint32_t known_equal)
+comparePages(const std::uint8_t *a, const std::uint8_t *b)
 {
     prof::ScopedTimer timer(prof::Site::SimdCompare);
-    // Because the first difference can only lie at or after
-    // known_equal, starting there yields the same sign and divergence
-    // offset as a scan from 0.
-    std::uint32_t off = simd::firstDiff(a, b, known_equal, pageSize);
+    std::uint32_t off = simd::firstDiff(a, b, 0, pageSize);
     if (off == pageSize)
         return {0, pageSize};
     return {a[off] < b[off] ? -1 : 1, off + 1};
-}
-
-PageCompare
-comparePagesMasked(const std::uint8_t *a, const std::uint8_t *b,
-                   std::uint64_t dirty_mask)
-{
-    prof::ScopedTimer timer(prof::Site::SimdCompare);
-    // Precondition: every line of `a` whose mask bit is clear is
-    // byte-identical to the corresponding line of `b`, so the first
-    // difference (if any) lies inside a dirtied line. Walking only
-    // the set bits with ctz yields the exact result a full scan from
-    // byte 0 would produce.
-    while (dirty_mask) {
-        std::uint32_t line =
-            static_cast<std::uint32_t>(std::countr_zero(dirty_mask));
-        dirty_mask &= dirty_mask - 1;
-        std::uint32_t base = line * lineSize;
-        std::uint32_t off =
-            simd::firstDiff(a + base, b + base, 0, lineSize);
-        if (off != lineSize)
-            return {a[base + off] < b[base + off] ? -1 : 1,
-                    base + off + 1};
-    }
-    return {0, pageSize};
-}
-
-PageCompare
-comparePages(const std::uint8_t *a, const std::uint8_t *b)
-{
-    return comparePagesFrom(a, b, 0);
 }
 
 struct ContentTree::Node
@@ -71,8 +34,7 @@ namespace
 constexpr std::size_t poolChunkNodes = 256;
 } // namespace
 
-ContentTree::ContentTree(PageAccessor &accessor, bool immutable_contents)
-    : _accessor(accessor), _immutableContents(immutable_contents)
+ContentTree::ContentTree(PageAccessor &accessor) : _accessor(accessor)
 {
     _nil = nullptr; // makeNode links new nodes to _nil; fixed up below
     _nil = makeNode(0);
@@ -157,7 +119,7 @@ ContentTree::clear(const PruneHook &prune)
 
 ContentTree::SearchResult
 ContentTree::search(const std::uint8_t *probe, const CompareHook &hook,
-                    const PruneHook &prune, const MaskedProbe *masked)
+                    const PruneHook &prune)
 {
     // Inclusive of the nested SimdCompare samples: the site measures
     // the whole walk, compares and all.
@@ -168,15 +130,6 @@ restart:
     Node *cur = _root;
     Node *parent = _nil;
     bool went_left = false;
-
-    // Longest common prefix of the probe with the tightest lower and
-    // upper neighbours passed on the way down. Any node in the current
-    // subtree orders between those neighbours, so its lcp with the
-    // probe is at least min(lcp_low, lcp_high) (see header) and the
-    // comparison can skip that many bytes. The bounds reset on restart
-    // because the pruned tree may place different neighbours.
-    std::uint32_t lcp_low = 0;
-    std::uint32_t lcp_high = 0;
 
     while (cur != _nil) {
         const std::uint8_t *node_data = _accessor.resolve(cur->handle);
@@ -191,11 +144,7 @@ restart:
             goto restart;
         }
 
-        std::uint32_t skip =
-            _immutableContents ? std::min(lcp_low, lcp_high) : 0;
-        PageCompare cmp = masked && node_data == masked->srcData
-            ? comparePagesMasked(probe, node_data, masked->dirtyMask)
-            : comparePagesFrom(probe, node_data, skip);
+        PageCompare cmp = comparePages(probe, node_data);
         ++result.nodesVisited;
         result.bytesCompared += cmp.bytesExamined;
         if (hook)
@@ -208,12 +157,6 @@ restart:
         }
         parent = cur;
         went_left = cmp.sign < 0;
-        // The first difference sits at bytesExamined - 1, so exactly
-        // bytesExamined - 1 leading bytes match this node.
-        if (went_left)
-            lcp_high = cmp.bytesExamined - 1;
-        else
-            lcp_low = cmp.bytesExamined - 1;
         cur = went_left ? cur->left : cur->right;
     }
 

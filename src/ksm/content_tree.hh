@@ -65,33 +65,6 @@ struct PageCompare
 /** Compare two full pages, reporting the divergence point. */
 PageCompare comparePages(const std::uint8_t *a, const std::uint8_t *b);
 
-/**
- * Compare two pages whose first @p known_equal bytes are already known
- * to match, skipping straight to the undecided suffix. The result is
- * *semantic*: sign and bytesExamined are identical to what
- * comparePages(a, b) returns, so callers can charge the full modelled
- * comparison cost while the host does only the residual work.
- *
- * @pre bytes [0, known_equal) of @p a and @p b are equal
- */
-PageCompare comparePagesFrom(const std::uint8_t *a,
-                             const std::uint8_t *b,
-                             std::uint32_t known_equal);
-
-/**
- * Compare page @p a against @p b when every line of @p a whose bit in
- * @p dirty_mask is clear is already known equal to the same line of
- * @p b (the CoW fork relation: @p a was copied from @p b and
- * @p dirty_mask records the lines written since). Only the dirtied
- * lines are examined, walked in ctz order; the result is *semantic*,
- * identical to comparePages(a, b).
- *
- * @pre for every clear bit L: a[L*64 .. L*64+63] == b[L*64 .. L*64+63]
- */
-PageCompare comparePagesMasked(const std::uint8_t *a,
-                               const std::uint8_t *b,
-                               std::uint64_t dirty_mask);
-
 /** The red-black tree. */
 class ContentTree
 {
@@ -114,20 +87,7 @@ class ContentTree
      */
     using PruneHook = std::function<void(PageHandle node_handle)>;
 
-    /**
-     * @param immutable_contents promise that a live (resolvable)
-     *        node's page bytes never change while the node is in the
-     *        tree — true for stable trees, whose frames are CoW
-     *        write-protected. It licenses the prefix-bounded descent
-     *        in search(): the BST ordering provably holds on current
-     *        contents, so ancestor compare outcomes bound the common
-     *        prefix of everything deeper. Unstable trees must leave
-     *        this false: their contents drift after insertion, the
-     *        ordering can rot, and a skipped prefix could hide a real
-     *        difference.
-     */
-    explicit ContentTree(PageAccessor &accessor,
-                         bool immutable_contents = false);
+    explicit ContentTree(PageAccessor &accessor);
     ~ContentTree();
 
     ContentTree(const ContentTree &) = delete;
@@ -144,38 +104,13 @@ class ContentTree
     };
 
     /**
-     * Optional dirty-mask context for search(): when the probe page
-     * was CoW-forked from a frame that may itself sit in the tree,
-     * the caller passes that frame's current bytes and the probe's
-     * dirty-line mask. A node resolving to exactly @p srcData (pointer
-     * identity — arena frames have unique storage) is compared with
-     * comparePagesMasked() instead of a full scan; every other node
-     * compares as usual. Results, statistics and hook charges are
-     * identical either way.
-     */
-    struct MaskedProbe
-    {
-        const std::uint8_t *srcData = nullptr;
-        std::uint64_t dirtyMask = 0;
-    };
-
-    /**
      * Search for a page with contents equal to @p probe.
      * Stale nodes encountered are erased and the search restarts.
-     *
-     * The descent is prefix-bounded: after comparing against a node,
-     * the position of the first difference bounds the longest common
-     * prefix of the probe with everything on the taken side, so
-     * deeper comparisons skip the prefix already proven equal
-     * (lcp(probe, y) >= min(lcp(probe, low), lcp(probe, high)) for
-     * any y between the tightest bounds low < y < high seen so far).
-     * Reported statistics and hook charges are unaffected: they count
-     * semantic bytes from offset 0, as an uninformed comparison would.
+     * Every node compare is a whole-page comparePages() from byte 0.
      */
     SearchResult search(const std::uint8_t *probe,
                         const CompareHook &hook = {},
-                        const PruneHook &prune = {},
-                        const MaskedProbe *masked = nullptr);
+                        const PruneHook &prune = {});
 
     /**
      * Attach a new node at the position a failed search returned.
@@ -231,7 +166,6 @@ class ContentTree
 
   private:
     PageAccessor &_accessor;
-    bool _immutableContents;
     Node *_nil;  //!< shared black sentinel
     Node *_root;
     std::size_t _size = 0;

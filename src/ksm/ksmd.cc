@@ -1,10 +1,8 @@
 #include "ksm/ksmd.hh"
 
-#include <bit>
 #include <utility>
 
 #include "sim/logging.hh"
-#include "sim/simd.hh"
 
 namespace pageforge
 {
@@ -16,7 +14,7 @@ Ksmd::Ksmd(std::string name, EventQueue &eq, Hypervisor &hyper,
       _hierarchy(hierarchy), _cores(std::move(cores)),
       _scheduler(scheduler), _config(config),
       _stableAcc(hyper.memory()), _guestAcc(hyper),
-      _stable(_stableAcc, /*immutable_contents=*/true),
+      _stable(_stableAcc),
       _unstable(_guestAcc)
 {
     pf_assert(!_cores.empty(), "ksmd with no cores");
@@ -235,21 +233,6 @@ Ksmd::scanOne(CoreId core, const PageKey &key, Tick now)
     _cycleStats.otherCycles += cost.candidateOverheadCycles;
     const std::uint8_t *data = mem.data(frame);
 
-    // When the candidate was CoW-forked off a frame that may still sit
-    // in a tree, compares against that exact frame only need to walk
-    // the dirtied lines (the mask proves the rest equal). Purely a
-    // host-side shortcut: search results and charged costs are
-    // identical.
-    ContentTree::MaskedProbe masked_storage;
-    const ContentTree::MaskedProbe *masked = nullptr;
-    if (_hyper.forkValid(page) &&
-        std::popcount(mem.dirtyMask(frame)) <=
-            static_cast<int>(simd::maskedCompareMaxLines)) {
-        masked_storage = {mem.data(page.cowSrcFrame),
-                          mem.dirtyMask(frame)};
-        masked = &masked_storage;
-    }
-
     // The compare hook drives the touched lines of both pages through
     // this core's caches and charges the compare loop. It advances the
     // local clock `now` of this scan step.
@@ -272,7 +255,7 @@ Ksmd::scanOne(CoreId core, const PageKey &key, Tick now)
         onStablePrune(handle);
     };
     ContentTree::SearchResult stable_res =
-        _stable.search(data, hook, stable_prune, masked);
+        _stable.search(data, hook, stable_prune);
     _cycleStats.compareCycles += now - phase_start;
 
     if (stable_res.match) {
@@ -304,7 +287,7 @@ Ksmd::scanOne(CoreId core, const PageKey &key, Tick now)
     ++_mergeStats.unstableSearches;
     phase_start = now;
     ContentTree::SearchResult unstable_res =
-        _unstable.search(data, hook, {}, masked);
+        _unstable.search(data, hook);
     _cycleStats.compareCycles += now - phase_start;
 
     if (!unstable_res.match) {
@@ -329,7 +312,7 @@ Ksmd::scanOne(CoreId core, const PageKey &key, Tick now)
     now += cost.compareLineCycles * linesPerPage;
     _cycleStats.compareCycles += now - verify_start;
 
-    if (!_hyper.pagesEqual(page, _hyper.vm(other.vm).page(other.gpn))) {
+    if (!mem.framesEqual(frame, other_frame)) {
         // Raced with a write between compare and protect: give up on
         // this candidate for the pass.
         ++_mergeStats.pagesDropped;

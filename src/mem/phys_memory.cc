@@ -12,8 +12,7 @@ namespace pageforge
 PhysicalMemory::PhysicalMemory(std::size_t total_frames,
                                unsigned num_shards)
     : _numShards(num_shards), _meta(total_frames),
-      _dirtyMask(total_frames), _writeGen(total_frames),
-      _stats("phys_mem")
+      _writeGen(total_frames), _stats("phys_mem")
 {
     pf_assert(total_frames > 0, "zero-sized physical memory");
     pf_assert(num_shards >= 1, "physical memory needs >= 1 shard");
@@ -92,9 +91,7 @@ PhysicalMemory::allocFrame(bool zero)
     meta.allocated = true;
     meta.writeProtected = false;
     meta.everUsed = true;
-    // New content of unknown relation to anything: saturate the dirty
-    // mask and invalidate every outstanding generation sample.
-    _dirtyMask[id] = ~std::uint64_t(0);
+    // New content: invalidate every outstanding generation sample.
     ++_writeGen[id];
 
     ++_allocs;

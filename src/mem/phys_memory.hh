@@ -129,52 +129,19 @@ class PhysicalMemory
      */
     std::size_t quarantinedFrames() const { return _quarantined; }
 
-    // --- sub-page dirty tracking -----------------------------------
-    //
-    // Each frame carries a 64-bit dirty-line mask (one bit per 64 B
-    // line) and a monotonically increasing write generation. Every
-    // content mutation must go through noteWrite() (the hypervisor's
-    // write path does; the arena is never written elsewhere): it sets
-    // the touched lines' bits and bumps the generation. clearDirty()
-    // re-anchors the mask after the caller has observed (or produced)
-    // the frame's exact content — from then on, a clear bit proves the
-    // line is byte-identical to its content at the anchor point, and
-    // an unchanged generation proves the whole frame is. allocFrame()
-    // bumps the generation and saturates the mask, so stale
-    // generation samples of a recycled frame can never validate.
-
-    /** Mark [offset, offset+len) written: set line bits, bump gen. */
+    /**
+     * Record a content mutation of @p frame: bumps its write
+     * generation. Every write to the arena must go through here (the
+     * hypervisor's write path does; the arena is never written
+     * elsewhere), so an unchanged generation proves the frame's bytes
+     * are unchanged. The range is checked but not tracked.
+     */
     void
     noteWrite(FrameId frame, std::uint32_t offset, std::uint32_t len)
     {
         pf_assert(frame < _meta.size(), "frame %u out of range", frame);
         pf_assert(offset + len <= pageSize, "write past frame end");
         ++_writeGen[frame];
-        if (len == 0)
-            return;
-        std::uint32_t first = offset / lineSize;
-        std::uint32_t last = (offset + len - 1) / lineSize;
-        // Contiguous run of line bits [first, last].
-        std::uint64_t bits = last - first == 63
-            ? ~std::uint64_t(0)
-            : ((std::uint64_t(1) << (last - first + 1)) - 1) << first;
-        _dirtyMask[frame] |= bits;
-    }
-
-    /** Anchor the mask: the caller knows the frame's exact content. */
-    void
-    clearDirty(FrameId frame)
-    {
-        pf_assert(frame < _meta.size(), "frame %u out of range", frame);
-        _dirtyMask[frame] = 0;
-    }
-
-    /** Lines possibly modified since the last clearDirty(). */
-    std::uint64_t
-    dirtyMask(FrameId frame) const
-    {
-        pf_assert(frame < _meta.size(), "frame %u out of range", frame);
-        return _dirtyMask[frame];
     }
 
     /**
@@ -244,8 +211,7 @@ class PhysicalMemory
     unsigned _numShards = 1;
     std::vector<std::uint8_t *> _arenas; //!< one sub-arena per shard
     std::vector<FrameMeta> _meta;
-    std::vector<std::uint64_t> _dirtyMask; //!< per-frame dirty lines
-    std::vector<std::uint64_t> _writeGen;  //!< per-frame content gen
+    std::vector<std::uint64_t> _writeGen; //!< per-frame content gen
     std::vector<FrameId> _freeList;
     std::size_t _inUse = 0;
     std::size_t _peakInUse = 0;

@@ -64,14 +64,6 @@ bool rangeEqual(const std::uint8_t *a, const std::uint8_t *b,
 bool allZero(const std::uint8_t *p, std::uint32_t len);
 
 /**
- * Dirty-line-mask compares above this popcount fall back to a full
- * page compare: past ~3/4 of the page the masked walk's per-line
- * dispatch costs more than one streaming pass. Host-side tuning only
- * — both paths return exact results.
- */
-constexpr unsigned maskedCompareMaxLines = 48;
-
-/**
  * The 32-byte-per-iteration mixing loop of pageFingerprint64: for
  * each of @p nblocks consecutive 32 B blocks, lane i absorbs the
  * block's i-th little-endian 64-bit word as

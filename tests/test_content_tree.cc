@@ -139,91 +139,6 @@ TEST(ComparePages, MatchesMemcmpOracleOnRandomPages)
     }
 }
 
-TEST(ComparePages, ComparePagesFromMatchesFullCompare)
-{
-    // With a valid known-equal prefix, comparePagesFrom must return
-    // the exact same semantic result as the uninformed comparison.
-    Rng rng(7);
-    std::vector<std::uint8_t> a(pageSize);
-    for (std::uint32_t i = 0; i < pageSize; ++i)
-        a[i] = static_cast<std::uint8_t>(rng.next());
-
-    for (std::uint32_t diff_at :
-         {0u, 1u, 63u, 64u, 100u, 2048u, pageSize - 1}) {
-        std::vector<std::uint8_t> b = a;
-        b[diff_at] = static_cast<std::uint8_t>(b[diff_at] + 1);
-        PageCompare full = comparePages(a.data(), b.data());
-
-        // Every prefix up to the divergence point is known-equal.
-        for (std::uint32_t known :
-             {0u, diff_at / 2, diff_at}) {
-            PageCompare from =
-                comparePagesFrom(a.data(), b.data(), known);
-            EXPECT_EQ(from.sign, full.sign) << diff_at << "@" << known;
-            EXPECT_EQ(from.bytesExamined, full.bytesExamined);
-        }
-    }
-
-    // Equal pages with the whole page known equal.
-    PageCompare eq = comparePagesFrom(a.data(), a.data(), pageSize);
-    EXPECT_EQ(eq.sign, 0);
-    EXPECT_EQ(eq.bytesExamined, pageSize);
-}
-
-TEST(ContentTree, PrefixBoundedSearchMatchesUninformedSearch)
-{
-    // An immutable-contents (stable) tree may skip prefixes already
-    // proven equal, but its *reported* statistics and outcomes must be
-    // exactly those of a plain tree holding the same pages: same
-    // match/miss, same insertion point, same nodes visited, same
-    // semantic bytes compared.
-    PoolAccessor pool;
-    ContentTree fast(pool, /*immutable_contents=*/true);
-    ContentTree plain(pool, /*immutable_contents=*/false);
-
-    // Pages sharing a long common prefix force the prefix-bounded
-    // descent to actually kick in (everything differs late).
-    Rng rng(1234);
-    std::vector<PageHandle> handles;
-    for (int i = 0; i < 60; ++i) {
-        PageHandle h = pool.addPage(42); // identical bytes...
-        auto *bytes = const_cast<std::uint8_t *>(pool.resolve(h));
-        // ...then a distinct suffix in the last line.
-        bytes[pageSize - 40] = static_cast<std::uint8_t>(i);
-        bytes[pageSize - 39] =
-            static_cast<std::uint8_t>(rng.next() & 0xff);
-        handles.push_back(h);
-    }
-    for (PageHandle h : handles) {
-        fast.insert(h);
-        plain.insert(h);
-    }
-    ASSERT_EQ(fast.size(), plain.size());
-    EXPECT_TRUE(fast.validate());
-
-    // Probe with every inserted page (hits) and fresh variants
-    // (misses); the two trees must report identical searches.
-    auto probe_both = [&](const std::uint8_t *probe) {
-        auto rf = fast.search(probe);
-        auto rp = plain.search(probe);
-        EXPECT_EQ(rf.match != nullptr, rp.match != nullptr);
-        if (rf.match && rp.match)
-            EXPECT_EQ(fast.handle(rf.match), plain.handle(rp.match));
-        EXPECT_EQ(rf.nodesVisited, rp.nodesVisited);
-        EXPECT_EQ(rf.bytesCompared, rp.bytesCompared);
-        EXPECT_EQ(rf.insertLeft, rp.insertLeft);
-    };
-
-    for (PageHandle h : handles)
-        probe_both(pool.resolve(h));
-    for (int i = 0; i < 30; ++i) {
-        PageHandle h = pool.addPage(42);
-        auto *bytes = const_cast<std::uint8_t *>(pool.resolve(h));
-        bytes[pageSize - 40] = static_cast<std::uint8_t>(200 + i);
-        probe_both(pool.resolve(h));
-    }
-}
-
 TEST(ContentTree, InsertAndFind)
 {
     PoolAccessor pool;

@@ -1,14 +1,18 @@
 /**
  * @file
  * Unit tests for the hypervisor: allocation, CoW, merging, madvise,
- * and duplication analysis.
+ * and duplication analysis, plus a content-integrity property under
+ * random churn.
  */
 
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "hyper/hypervisor.hh"
+#include "sim/rng.hh"
 
 namespace pageforge
 {
@@ -189,6 +193,111 @@ TEST_F(HypervisorTest, CowBreakOnLastSharerLeavesOneCopy)
     // Both broke away; the merged frame is free.
     EXPECT_FALSE(mem.isAllocated(merged));
     EXPECT_EQ(mem.framesInUse(), 2u);
+}
+
+/**
+ * Property test: a random storm of writes, merges, CoW breaks,
+ * reclaims and frame poisonings. After every step, each mapped page's
+ * bytes must equal a shadow model of what its guest wrote (zeroes
+ * since the last first touch, overlaid with every later write), and
+ * an unmapped page's shadow must be all zero, as its next touch will
+ * be. A CoW break that wrote a shared frame in place, a merge of
+ * unequal pages, or a reclaim that leaked content would all diverge.
+ */
+TEST(HypervisorPropertyTest, MappedPagesMatchGuestWritesUnderChurn)
+{
+    EventQueue eq;
+    PhysicalMemory mem(512);
+    Hypervisor hyper("hv", eq, mem);
+    constexpr unsigned numVms = 3;
+    constexpr GuestPageNum pagesPerVm = 6;
+    std::vector<VmId> vms;
+    for (unsigned v = 0; v < numVms; ++v)
+        vms.push_back(
+            hyper.createVm("vm" + std::to_string(v), pagesPerVm));
+
+    using Page = std::vector<std::uint8_t>;
+    std::vector<std::vector<Page>> shadow(
+        numVms, std::vector<Page>(pagesPerVm, Page(pageSize, 0)));
+    const Page zero(pageSize, 0);
+
+    Rng rng(2026);
+    // A small content alphabet and frequent whole-page fills keep
+    // pages colliding, so merges and CoW breaks of shared frames
+    // actually happen; partial writes make them diverge again.
+    auto fill_some = [&](VmId vm, GuestPageNum gpn) {
+        std::uint8_t pattern = static_cast<std::uint8_t>(
+            0x10 * (1 + rng.nextBounded(4)));
+        bool whole = rng.nextBounded(2) == 0;
+        std::uint32_t offset = whole ? 0
+            : static_cast<std::uint32_t>(
+                  rng.nextBounded(pageSize / lineSize)) * lineSize;
+        std::uint32_t len = whole ? pageSize
+            : static_cast<std::uint32_t>(
+                  1 + rng.nextBounded(pageSize - offset));
+        Page buf(len, pattern);
+        hyper.writeToPage(vm, gpn, offset, buf.data(), len);
+        std::memcpy(shadow[vm][gpn].data() + offset, buf.data(), len);
+    };
+
+    for (int step = 0; step < 600; ++step) {
+        VmId vm = vms[rng.nextBounded(numVms)];
+        GuestPageNum gpn =
+            static_cast<GuestPageNum>(rng.nextBounded(pagesPerVm));
+        switch (rng.nextBounded(10)) {
+          case 0: { // reclaim (unmaps; later touch remaps zeroed)
+            hyper.reclaimPage(vm, gpn);
+            shadow[vm][gpn] = zero;
+            break;
+          }
+          case 1: { // try to merge two pages the guests made equal
+            VmId vm2 = vms[rng.nextBounded(numVms)];
+            GuestPageNum gpn2 =
+                static_cast<GuestPageNum>(rng.nextBounded(pagesPerVm));
+            FrameId fa = hyper.frameOf(vm, gpn);
+            FrameId fb = hyper.frameOf(vm2, gpn2);
+            if (fa != invalidFrame && fb != invalidFrame && fa != fb &&
+                !mem.isPoisoned(fa) && !mem.isPoisoned(fb) &&
+                shadow[vm][gpn] == shadow[vm2][gpn2]) {
+                if (mem.refCount(fb) > 1 || mem.isWriteProtected(fb)) {
+                    hyper.tryMergeIntoFrame(PageKey{vm, gpn}, fb);
+                } else if (mem.refCount(fa) == 1 &&
+                           !mem.isWriteProtected(fa)) {
+                    hyper.mergePair(PageKey{vm, gpn},
+                                    PageKey{vm2, gpn2});
+                }
+            }
+            break;
+          }
+          case 2: { // poison a mapped frame (drains via CoW writes)
+            FrameId f = hyper.frameOf(vm, gpn);
+            if (f != invalidFrame)
+                mem.poisonFrame(f);
+            break;
+          }
+          default: // mostly writes: first touches and CoW breaks
+            fill_some(vm, gpn);
+            break;
+        }
+
+        for (VmId v : vms) {
+            for (GuestPageNum p = 0; p < pagesPerVm; ++p) {
+                FrameId f = hyper.frameOf(v, p);
+                const Page &want = shadow[v][p];
+                if (f == invalidFrame) {
+                    ASSERT_EQ(want, zero)
+                        << "step " << step << " vm " << v << " gpn " << p;
+                    continue;
+                }
+                ASSERT_EQ(std::memcmp(mem.data(f), want.data(), pageSize),
+                          0)
+                    << "step " << step << " vm " << v << " gpn " << p;
+            }
+        }
+    }
+    EXPECT_GT(hyper.merges(), 0u);
+    EXPECT_GT(hyper.cowBreaks(), 0u);
+    EXPECT_GT(mem.poisonedFrames(), 0u);
 }
 
 } // namespace

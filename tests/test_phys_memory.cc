@@ -120,6 +120,31 @@ TEST(PhysicalMemory, PeakTracksHighWater)
     EXPECT_EQ(mem.framesInUse(), 0u);
 }
 
+TEST(PhysicalMemory, ZeroLengthWriteBumpsGeneration)
+{
+    // The write generation keys the daemons' hash-skip cache: any
+    // noteWrite, even an empty one, must invalidate cached samples.
+    PhysicalMemory mem(8);
+    FrameId f = mem.allocFrame(true);
+    std::uint64_t gen = mem.writeGen(f);
+    mem.noteWrite(f, 100, 0);
+    EXPECT_GT(mem.writeGen(f), gen);
+}
+
+TEST(PhysicalMemory, ReallocationBumpsGeneration)
+{
+    // A generation sampled before a frame is freed must never
+    // validate against the recycled frame's new content.
+    PhysicalMemory mem(8);
+    FrameId f = mem.allocFrame(true);
+    std::uint64_t gen = mem.writeGen(f);
+    mem.decRef(f);
+    EXPECT_EQ(mem.writeGen(f), gen); // freed frames keep their gen
+    FrameId g = mem.allocFrame(false);
+    ASSERT_EQ(g, f); // LIFO free list hands the same id back
+    EXPECT_GT(mem.writeGen(g), gen);
+}
+
 TEST(PhysicalMemory, AccessToFreeFramePanics)
 {
     PhysicalMemory mem(2);

@@ -17,8 +17,12 @@
  *
  *   pfsim --campaign [--jobs=8] [--seeds=3] [--json=FILE]
  *         [--apps=silo,moses] [--modes=baseline,ksm] [--queries=1500]
+ *
+ * A flag only the other mode reads is refused with exit 1, not
+ * silently dropped.
  */
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -161,14 +165,34 @@ usage(const char *prog)
     std::exit(1);
 }
 
+/** Flags that only a single run reads; --campaign would drop them. */
+const char *const singleRunFlags[] = {
+    "--app", "--mode", "--window-ms", "--dump-stats", "--metrics-csv"};
+
+/** Flags that only campaign mode reads; a single run would drop them. */
+const char *const campaignFlags[] = {
+    "--jobs",    "--seeds",   "--json",        "--apps",
+    "--modes",   "--queries", "--perf-report", "--baseline-seconds"};
+
 Options
 parse(int argc, char **argv)
 {
     Options opts;
     bool fault_seed_set = false;
     std::uint64_t fault_seed = 0;
+    std::string single_flag;   //!< first single-run-only flag seen
+    std::string campaign_flag; //!< first campaign-only flag seen
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
+        std::string name = arg.substr(0, arg.find('='));
+        auto listed = [&name](const auto &flags) {
+            return std::find(std::begin(flags), std::end(flags), name) !=
+                std::end(flags);
+        };
+        if (single_flag.empty() && listed(singleRunFlags))
+            single_flag = name;
+        if (campaign_flag.empty() && listed(campaignFlags))
+            campaign_flag = name;
         auto value = [&](const char *prefix) -> const char * {
             std::size_t len = std::strlen(prefix);
             return arg.rfind(prefix, 0) == 0 ? arg.c_str() + len
@@ -293,6 +317,17 @@ parse(int argc, char **argv)
         } else {
             usage(argv[0]);
         }
+    }
+    // A flag of the other mode would be silently ignored: refuse it.
+    if (opts.campaign && !single_flag.empty()) {
+        std::cerr << "pfsim: " << single_flag
+                  << " applies to a single run, not to --campaign\n";
+        std::exit(1);
+    }
+    if (!opts.campaign && !campaign_flag.empty()) {
+        std::cerr << "pfsim: " << campaign_flag
+                  << " applies only with --campaign\n";
+        std::exit(1);
     }
     // --fault-seed wins regardless of its position relative to
     // --faults (whose parse() resets the whole struct).
