@@ -230,5 +230,100 @@ TEST(GoldenStats, FourMcWedgeAndHandoffLossCellMatchesGoldenSnapshot)
     EXPECT_EQ(r.perMc[3].wedges, 1u);
 }
 
+/**
+ * Every fault class at once, with the rates of the pfsim spec
+ * "rate=3000,...,brownout=200,brownout_ms=0.2,seed=3" raised so each
+ * class fires inside the small cell's 22 ms of simulated time.
+ */
+FaultConfig
+everyFaultClass()
+{
+    return FaultConfig::parse(
+        "rate=2e5,double=0.3,stuck=0.2,minikey=0.3,scantable=3000,"
+        "race=0.2,mcwedge=150,handoff_loss=0.05,handoff_corrupt=0.02,"
+        "handoff_spike=0.1,brownout=1000,brownout_ms=0.2,seed=3");
+}
+
+TEST(GoldenStats, FourMcEveryFaultClassPageForgeCellMatchesGoldenSnapshot)
+{
+    // Every PageForge fault class on the 4-MC machine: the injector's
+    // module, table and channel picks, the watchdog's health edges and
+    // all three handoff link faults.
+    ExperimentResult r = runGoldenCell(
+        DedupMode::PageForge, {.numMcs = 4, .faults = everyFaultClass()});
+    ASSERT_EQ(r.perMc.size(), 4u);
+    EXPECT_GT(r.faults.flipEvents, 0u);
+    EXPECT_GT(r.faults.doubleBitFlips, 0u);
+    EXPECT_GT(r.faults.stuckAtFaults, 0u);
+    EXPECT_GT(r.faults.minikeyTargeted, 0u);
+    EXPECT_GT(r.faults.tableCorruptions, 0u);
+    EXPECT_GT(r.faults.raceWrites, 0u);
+    EXPECT_GT(r.faults.mcWedgesInjected, 0u);
+    EXPECT_GT(r.faults.brownouts, 0u);
+    EXPECT_GT(r.faults.handoffsLost, 0u);
+    EXPECT_GT(r.faults.handoffsCorrupted, 0u);
+    EXPECT_GT(r.faults.handoffsSpiked, 0u);
+    EXPECT_EQ(r.faults.oracleViolations, 0u);
+
+    EXPECT_EQ(r.queries, 63u);
+    EXPECT_EQ(r.merges, 0u);
+    EXPECT_EQ(r.simEvents, 14529u);
+    EXPECT_EQ(r.pfPagesScanned, 3198u);
+    EXPECT_EQ(r.faults.flipEvents, 72u);
+    EXPECT_EQ(r.faults.doubleBitFlips, 19u);
+    EXPECT_EQ(r.faults.stuckAtFaults, 15u);
+    EXPECT_EQ(r.faults.minikeyTargeted, 22u);
+    EXPECT_EQ(r.faults.tableCorruptions, 33u);
+    EXPECT_EQ(r.faults.raceWrites, 111u);
+    EXPECT_EQ(r.faults.skippedNoTarget, 34u);
+    EXPECT_EQ(r.faults.uncorrectableErrors, 12u);
+    EXPECT_EQ(r.faults.mcWedgesInjected, 5u);
+    EXPECT_EQ(r.faults.wedgesDetected, 4u);
+    EXPECT_EQ(r.faults.readmissions, 3u);
+    EXPECT_EQ(r.faults.brownouts, 11u);
+    EXPECT_EQ(r.faults.healthTransitions, 33u);
+    EXPECT_EQ(r.faults.handoffsLost, 42u);
+    EXPECT_EQ(r.faults.handoffsCorrupted, 21u);
+    EXPECT_EQ(r.faults.handoffsSpiked, 94u);
+    EXPECT_EQ(r.faults.handoffRetries, 42u);
+    EXPECT_EQ(r.perMc[0].scans, 328u);
+    EXPECT_EQ(r.perMc[1].scans, 389u);
+    EXPECT_EQ(r.perMc[2].scans, 427u);
+    EXPECT_EQ(r.perMc[3].scans, 370u);
+    EXPECT_EQ(r.perMc[0].wedges, 0u);
+    EXPECT_EQ(r.perMc[1].wedges, 0u);
+    EXPECT_EQ(r.perMc[2].wedges, 3u);
+    EXPECT_EQ(r.perMc[3].wedges, 1u);
+}
+
+TEST(GoldenStats, EveryFaultClassKsmCellMatchesGoldenSnapshot)
+{
+    // The same spec on the 1-MC KSM machine. Only the DRAM flips and
+    // brownouts apply (KSM has no modules, Scan Table, merge-commit
+    // race hook or handoffs); the single channel takes no pick draw.
+    ExperimentResult r = runGoldenCell(DedupMode::Ksm,
+                                       {.faults = everyFaultClass()});
+    EXPECT_GT(r.faults.flipEvents, 0u);
+    EXPECT_GT(r.faults.doubleBitFlips, 0u);
+    EXPECT_GT(r.faults.stuckAtFaults, 0u);
+    EXPECT_GT(r.faults.minikeyTargeted, 0u);
+    EXPECT_GT(r.faults.brownouts, 0u);
+    EXPECT_EQ(r.faults.oracleViolations, 0u);
+
+    EXPECT_EQ(r.queries, 43u);
+    EXPECT_EQ(r.merges, 0u);
+    EXPECT_EQ(r.simEvents, 287u);
+    EXPECT_EQ(r.pagesScanned, 166u);
+    EXPECT_EQ(r.faults.flipEvents, 65u);
+    EXPECT_EQ(r.faults.doubleBitFlips, 22u);
+    EXPECT_EQ(r.faults.stuckAtFaults, 12u);
+    EXPECT_EQ(r.faults.minikeyTargeted, 20u);
+    EXPECT_EQ(r.faults.uncorrectableErrors, 9u);
+    EXPECT_EQ(r.faults.poisonedFrames, 9u);
+    EXPECT_EQ(r.faults.brownouts, 15u);
+    EXPECT_EQ(r.faults.skippedNoTarget, 33u);
+    EXPECT_EQ(r.faults.healthTransitions, 29u);
+}
+
 } // namespace
 } // namespace pageforge
