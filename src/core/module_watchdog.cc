@@ -4,6 +4,7 @@
 
 #include "core/pageforge_driver.hh"
 #include "core/pageforge_module.hh"
+#include "fault/mc_health.hh"
 #include "shard/shard_map.hh"
 #include "sim/logging.hh"
 
@@ -12,9 +13,10 @@ namespace pageforge
 
 ModuleWatchdog::ModuleWatchdog(std::string name, EventQueue &eq,
                                const WatchdogConfig &config,
-                               PageForgeDriver &driver, ShardMap &map)
+                               PageForgeDriver &driver, ShardMap &map,
+                               McHealthMonitor &health)
     : SimObject(std::move(name), eq), _config(config), _driver(driver),
-      _shardMap(map)
+      _shardMap(map), _health(health)
 {
     pf_assert(_config.heartbeatInterval > 0,
               "watchdog heartbeat must be positive");
@@ -82,8 +84,8 @@ ModuleWatchdog::handleWedge(unsigned shard)
             shard,
             static_cast<unsigned long long>(_config.wedgeThreshold));
 
-    if (_quarantineHook)
-        _quarantineHook(shard);
+    _health.transition(shard, McHealth::Quarantined,
+                       "module wedge detected");
 
     // Fail the shard's content-prefix range and scan duties over to
     // the next healthy shard. A single-MC machine has no survivor:
@@ -116,8 +118,7 @@ ModuleWatchdog::enterRecovering(unsigned shard)
         return;
     probe().instant("mc-recovering", curTick(),
                     {"mc", static_cast<double>(shard)});
-    if (_recoveringHook)
-        _recoveringHook(shard);
+    _health.transition(shard, McHealth::Recovering, "module restarted");
     eventq().schedule(curTick() + _config.readmitDelay,
                       [this, shard] { readmit(shard); });
 }
@@ -139,8 +140,7 @@ ModuleWatchdog::readmit(unsigned shard)
     probe().instant("mc-readmitted", curTick(),
                     {"mc", static_cast<double>(shard)});
     pf_inform(Fault, "mc%u re-admitted after recovery", shard);
-    if (_healthyHook)
-        _healthyHook(shard);
+    _health.transition(shard, McHealth::Healthy, "re-admitted");
 }
 
 } // namespace pageforge

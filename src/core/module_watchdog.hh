@@ -15,16 +15,15 @@
  *   force-reset the module -> after recoveryDelay enter Recovering ->
  *   after readmitDelay restore ownership and resume scanning.
  *
- * Health-state bookkeeping lives in src/system (McHealthMonitor); the
- * watchdog reports transitions through the three hooks so pf_core
- * stays independent of pf_system. Constructed only when a fault
- * campaign is armed — fault-free runs never build one.
+ * Each step moves the shard's McHealthMonitor state: Quarantined at
+ * detection, Recovering after the restart, Healthy at re-admission.
+ * Constructed only when a fault campaign is armed — fault-free runs
+ * never build one.
  */
 
 #ifndef PF_CORE_MODULE_WATCHDOG_HH
 #define PF_CORE_MODULE_WATCHDOG_HH
 
-#include <functional>
 #include <vector>
 
 #include "sim/sim_object.hh"
@@ -32,6 +31,7 @@
 namespace pageforge
 {
 
+class McHealthMonitor;
 class PageForgeModule;
 class PageForgeDriver;
 class ShardMap;
@@ -64,31 +64,14 @@ class ModuleWatchdog : public SimObject
      * @param driver driver whose pipelines are quiesced/resumed on
      *        failover
      * @param map owner overlay mutated on quarantine/re-admission
+     * @param health per-MC health states the recovery steps move
      */
     ModuleWatchdog(std::string name, EventQueue &eq,
                    const WatchdogConfig &config, PageForgeDriver &driver,
-                   ShardMap &map);
+                   ShardMap &map, McHealthMonitor &health);
 
     /** Register one module per shard, in shard order, before start(). */
     void watchModule(PageForgeModule &module);
-
-    /**
-     * Health transition hooks, fired in recovery order:
-     * Quarantined at detection, Recovering after recoveryDelay,
-     * Healthy at re-admission. Wired to the system's McHealthMonitor.
-     */
-    void onQuarantine(std::function<void(unsigned)> fn)
-    {
-        _quarantineHook = std::move(fn);
-    }
-    void onRecovering(std::function<void(unsigned)> fn)
-    {
-        _recoveringHook = std::move(fn);
-    }
-    void onHealthy(std::function<void(unsigned)> fn)
-    {
-        _healthyHook = std::move(fn);
-    }
 
     /** Begin heartbeat sampling. */
     void start();
@@ -134,9 +117,7 @@ class ModuleWatchdog : public SimObject
     std::vector<Watch> _watches;
     PageForgeDriver &_driver;
     ShardMap &_shardMap;
-    std::function<void(unsigned)> _quarantineHook;
-    std::function<void(unsigned)> _recoveringHook;
-    std::function<void(unsigned)> _healthyHook;
+    McHealthMonitor &_health;
     bool _running = false;
 
     std::uint64_t _wedgesDetected = 0;

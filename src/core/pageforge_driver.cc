@@ -1063,7 +1063,6 @@ PageForgeDriver::flushCandidate(Pipeline &p)
     // node pointers may reference entries of the dead VM, so the
     // whole candidate is flushed instead of interpreted.
     probe().instant("batch-flush", curTick());
-    ++_batchesFlushed;
     ++_mergeStats.pagesDropped;
     advance(p);
 }
@@ -1154,7 +1153,6 @@ PageForgeDriver::resetStats()
     _refills.reset();
     _osChecks.reset();
     _hwHashRaces.reset();
-    _batchesFlushed.reset();
     _falseKeyMatches.reset();
     _offsetRotations.reset();
     _mergeAborts.reset();

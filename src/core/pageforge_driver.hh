@@ -131,15 +131,6 @@ class PageForgeDriver : public SimObject
     std::uint64_t hwHashRaces() const { return _hwHashRaces.value(); }
 
     /**
-     * In-flight candidates abandoned because a VM in the batch (or
-     * the candidate itself) was destroyed mid-scan.
-     */
-    std::uint64_t batchesFlushed() const
-    {
-        return _batchesFlushed.value();
-    }
-
-    /**
      * Wire the fault injector. Arms the degradation paths: the
      * write-versioning commit check (racing writes abort the merge and
      * retry with backoff), hardware-key trust for the unchanged check,
@@ -189,13 +180,6 @@ class PageForgeDriver : public SimObject
 
     /** Re-admit a recovered shard: resume scanning next interval. */
     void resumeShard(unsigned shard);
-
-    /** Is this shard's pipeline currently parked by failover? */
-    bool
-    shardQuiesced(unsigned shard) const
-    {
-        return _pipelines[shard]->quiesced;
-    }
 
     /** Per-shard content trees. */
     ContentTree &stableTree(unsigned shard) { return *_stables[shard]; }
@@ -348,7 +332,6 @@ class PageForgeDriver : public SimObject
     Counter _refills;
     Counter _osChecks;
     Counter _hwHashRaces;
-    Counter _batchesFlushed;
 
     // Fault-resilience state (inert while _faults is null).
     FaultInjector *_faults = nullptr;

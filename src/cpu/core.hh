@@ -60,9 +60,6 @@ class Core : public SimObject
     /** True when nothing is running or queued. */
     bool idle() const { return !_running && _queue.empty(); }
 
-    /** Tick when the currently running task completes. */
-    Tick busyUntil() const { return _busyUntil; }
-
     /** Tasks waiting behind the current one. */
     std::size_t queueDepth() const { return _queue.size(); }
 

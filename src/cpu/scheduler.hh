@@ -41,9 +41,6 @@ class KsmScheduler : public SimObject
     /** Choose the core for the next work interval. */
     CoreId pickCore();
 
-    /** Core chosen most recently. */
-    CoreId currentCore() const { return _current; }
-
     /** Number of intervals each core has been chosen (for tests). */
     const std::vector<std::uint64_t> &placements() const {
         return _placements;

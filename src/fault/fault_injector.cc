@@ -2,6 +2,10 @@
 
 #include <algorithm>
 
+#include "core/module_watchdog.hh"
+#include "core/pageforge_driver.hh"
+#include "core/pageforge_module.hh"
+#include "fault/mc_health.hh"
 #include "sim/logging.hh"
 
 namespace pageforge
@@ -10,13 +14,23 @@ namespace pageforge
 FaultInjector::FaultInjector(std::string name, EventQueue &eq,
                              std::vector<MemController *> mcs,
                              Hypervisor &hyper, const FaultConfig &config,
-                             std::uint64_t stream_seed)
+                             std::uint64_t stream_seed,
+                             std::vector<PageForgeModule *> modules,
+                             const PageForgeDriver *driver,
+                             const ModuleWatchdog *watchdog,
+                             McHealthMonitor *health)
     : SimObject(std::move(name), eq), _mcs(std::move(mcs)),
-      _hyper(hyper), _config(config), _rng(stream_seed)
+      _hyper(hyper), _config(config), _rng(stream_seed),
+      _modules(std::move(modules)), _driver(driver), _watchdog(watchdog),
+      _health(health)
 {
     pf_assert(!_mcs.empty(), "fault injector with no controllers");
     std::string bad = _config.problem();
     pf_assert(bad.empty(), "invalid fault config: %s", bad.c_str());
+    pf_assert(_modules.empty() || _config.mcWedgeRate <= 0.0 || _watchdog,
+              "module wedges need the watchdog");
+    pf_assert(_config.brownoutRate <= 0.0 || _health,
+              "brownouts need the health monitor");
 }
 
 double
@@ -88,8 +102,9 @@ FaultInjector::injectFlip()
     // lines (attacking the hash-key path) or uniform over the page.
     std::uint32_t line;
     if (_config.minikeyBias > 0.0 && _rng.chance(_config.minikeyBias)) {
+        // Track the driver's update_ECC_offset rotations.
         EccOffsets offsets =
-            _offsetsOf ? _offsetsOf() : EccOffsets::defaults();
+            _driver ? _driver->config().eccOffsets : EccOffsets::defaults();
         unsigned section =
             static_cast<unsigned>(_rng.nextBounded(eccHashSections));
         line = offsets.lineIndex(section);
@@ -151,9 +166,14 @@ FaultInjector::scheduleTableCorruption()
 void
 FaultInjector::corruptTableEntry()
 {
-    if (!_corruptTable)
+    if (_modules.empty())
         return;
-    if (!_corruptTable(_rng)) {
+    ScanTable &table = _modules[pickTarget(_modules.size())]->table();
+    unsigned index =
+        static_cast<unsigned>(_rng.nextBounded(table.numOtherPages()));
+    FrameId victim = static_cast<FrameId>(
+        _rng.nextBounded(_hyper.memory().totalFrames()));
+    if (!table.corruptOtherPpn(index, victim)) {
         ++_stats.skippedNoTarget;
         return;
     }
@@ -180,12 +200,18 @@ FaultInjector::scheduleWedge()
 void
 FaultInjector::injectWedge()
 {
-    if (!_wedgeModule)
+    if (_modules.empty())
         return;
-    if (!_wedgeModule(_rng)) {
+    std::size_t shard = pickTarget(_modules.size());
+    PageForgeModule &module = *_modules[shard];
+    // A module already hung, or held down by the watchdog's recovery
+    // sequence, has nothing left to wedge.
+    if (module.wedged() ||
+        _watchdog->shardDown(static_cast<unsigned>(shard))) {
         ++_stats.skippedNoTarget;
         return;
     }
+    module.wedge();
     ++_stats.mcWedges;
     probe().instant("module-wedge", curTick());
     pf_inform(Fault, "wedged a PageForge module FSM");
@@ -209,27 +235,37 @@ FaultInjector::scheduleBrownout()
 void
 FaultInjector::beginBrownout()
 {
-    if (!_beginBrownout)
-        return;
-    int channel = _beginBrownout(_rng);
-    if (channel < 0) {
+    // A brownout only lands on a Healthy channel: Degraded channels
+    // are already browned out, and Quarantined / Recovering ones are
+    // being handled by the watchdog.
+    unsigned channel = static_cast<unsigned>(pickTarget(_mcs.size()));
+    if (_health->state(channel) != McHealth::Healthy) {
         ++_stats.skippedNoTarget;
         return;
     }
+    _mcs[channel]->setLatencyScale(_config.brownoutMult);
+    _health->transition(channel, McHealth::Degraded, "channel brownout");
     ++_stats.brownouts;
     Tick duration = std::max<Tick>(1, msToTicks(_config.brownoutMs));
     probe().span("brownout", curTick(), curTick() + duration,
                  {"channel", static_cast<double>(channel)});
-    pf_inform(Fault, "channel %d brownout for %.3f ms (latency x%.1f)",
+    pf_inform(Fault, "channel %u brownout for %.3f ms (latency x%.1f)",
               channel, _config.brownoutMs, _config.brownoutMult);
-    unsigned victim = static_cast<unsigned>(channel);
-    eventq().schedule(curTick() + duration, [this, victim] {
-        // The restore runs even after stop(): leaving a controller
-        // permanently slowed past the campaign end would corrupt any
-        // drain work still in flight.
-        if (_endBrownout)
-            _endBrownout(victim);
-    });
+    // The restore runs even after stop(): leaving a controller
+    // permanently slowed past the campaign end would corrupt any
+    // drain work still in flight.
+    eventq().schedule(curTick() + duration,
+                      [this, channel] { endBrownout(channel); });
+}
+
+void
+FaultInjector::endBrownout(unsigned mc)
+{
+    _mcs[mc]->setLatencyScale(1.0);
+    // The channel may have been quarantined by a wedge mid-brownout;
+    // the watchdog then owns its path back to Healthy.
+    if (_health->state(mc) == McHealth::Degraded)
+        _health->transition(mc, McHealth::Healthy, "brownout ended");
 }
 
 bool

@@ -1,8 +1,9 @@
 /**
  * @file
  * The fault injector: a seeded, RNG-driven SimObject that schedules
- * DRAM bit flips, Scan Table corruptions, and merge-time races from a
- * FaultConfig.
+ * DRAM bit flips, Scan Table corruptions, merge-time races, module
+ * wedges and channel brownouts from a FaultConfig, acting directly on
+ * the memory controllers, PageForge modules and per-MC health.
  *
  * Determinism contract: the injector draws exclusively from its own
  * dedicated RNG stream (derived from the experiment seed like every
@@ -15,7 +16,6 @@
 #ifndef PF_FAULT_FAULT_INJECTOR_HH
 #define PF_FAULT_FAULT_INJECTOR_HH
 
-#include <functional>
 #include <vector>
 
 #include "ecc/ecc_hash_key.hh"
@@ -27,6 +27,11 @@
 
 namespace pageforge
 {
+
+class McHealthMonitor;
+class ModuleWatchdog;
+class PageForgeDriver;
+class PageForgeModule;
 
 /** Everything the injector did to the run (inputs, not outcomes). */
 struct FaultInjectStats
@@ -56,66 +61,28 @@ class FaultInjector : public SimObject
      *        of controllers.
      * @param stream_seed dedicated RNG stream seed (the System derives
      *        it from the experiment seed and the config's extra seed)
+     * @param modules PageForge modules in shard order, the targets of
+     *        Scan Table upsets and wedges (empty outside PageForge
+     *        mode: those classes then inject nothing)
+     * @param driver PageForge driver whose sampled ECC offsets aim the
+     *        minikey-targeted flips (null: the default offsets)
+     * @param watchdog required when `mcwedge` fires on modules: a
+     *        shard it holds down is not wedged again
+     * @param health per-MC health, required when `brownout` fires
      */
     FaultInjector(std::string name, EventQueue &eq,
                   std::vector<MemController *> mcs, Hypervisor &hyper,
-                  const FaultConfig &config, std::uint64_t stream_seed);
+                  const FaultConfig &config, std::uint64_t stream_seed,
+                  std::vector<PageForgeModule *> modules = {},
+                  const PageForgeDriver *driver = nullptr,
+                  const ModuleWatchdog *watchdog = nullptr,
+                  McHealthMonitor *health = nullptr);
 
     /** Begin scheduling fault events (no-op for all-zero rates). */
     void start();
 
     /** Stop scheduling; already-queued events become no-ops. */
     void stop();
-
-    /**
-     * Provider of the currently-sampled ECC offsets, so
-     * minikey-targeted flips track update_ECC_offset rotations.
-     */
-    void
-    setEccOffsetsProvider(std::function<EccOffsets()> fn)
-    {
-        _offsetsOf = std::move(fn);
-    }
-
-    /**
-     * Hook that corrupts one live Scan Table entry, returning true
-     * when it garbled something. Wired by the System in PageForge
-     * mode; draws from the RNG it is handed for determinism.
-     */
-    void
-    setScanTableCorruptor(std::function<bool(Rng &)> fn)
-    {
-        _corruptTable = std::move(fn);
-    }
-
-    /**
-     * Hook that wedges one PageForge module's FSM, returning true
-     * when it hung something (false when every module is already
-     * wedged or held down). Wired by the System in PageForge mode;
-     * draws from the RNG it is handed for determinism. The fault
-     * class `mcwedge` schedules these as a Poisson stream.
-     */
-    void
-    setModuleWedger(std::function<bool(Rng &)> fn)
-    {
-        _wedgeModule = std::move(fn);
-    }
-
-    /**
-     * Hooks bracketing a channel brownout window (fault class
-     * `brownout`). The start hook picks a victim channel, applies the
-     * latency multiplier and the Healthy -> Degraded transition, and
-     * returns the channel index (or a negative value when no channel
-     * is eligible). The end hook restores the channel after
-     * FaultConfig::brownoutMs of simulated time.
-     */
-    void
-    setBrownoutHooks(std::function<int(Rng &)> begin,
-                     std::function<void(unsigned)> end)
-    {
-        _beginBrownout = std::move(begin);
-        _endBrownout = std::move(end);
-    }
 
     /**
      * Called by the PageForge driver between a batch match and the
@@ -136,11 +103,10 @@ class FaultInjector : public SimObject
     Rng _rng;
     bool _running = false;
 
-    std::function<EccOffsets()> _offsetsOf;
-    std::function<bool(Rng &)> _corruptTable;
-    std::function<bool(Rng &)> _wedgeModule;
-    std::function<int(Rng &)> _beginBrownout;
-    std::function<void(unsigned)> _endBrownout;
+    std::vector<PageForgeModule *> _modules; //!< one per shard, in order
+    const PageForgeDriver *_driver;
+    const ModuleWatchdog *_watchdog;
+    McHealthMonitor *_health;
     FaultInjectStats _stats;
 
     /** Mean ticks between DRAM flip events at the configured rate. */
@@ -153,6 +119,17 @@ class FaultInjector : public SimObject
         return *_mcs[frame % _mcs.size()];
     }
 
+    /**
+     * Index of the victim among @p n targets. A single target takes
+     * no draw, so adding controllers never perturbs a 1-MC machine's
+     * fault stream.
+     */
+    std::size_t
+    pickTarget(std::size_t n)
+    {
+        return n == 1 ? 0 : static_cast<std::size_t>(_rng.nextBounded(n));
+    }
+
     void scheduleFlip();
     void injectFlip();
     void scheduleTableCorruption();
@@ -161,6 +138,7 @@ class FaultInjector : public SimObject
     void injectWedge();
     void scheduleBrownout();
     void beginBrownout();
+    void endBrownout(unsigned mc);
 };
 
 } // namespace pageforge

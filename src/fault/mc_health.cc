@@ -1,4 +1,4 @@
-#include "system/mc_health.hh"
+#include "fault/mc_health.hh"
 
 #include <utility>
 
@@ -68,15 +68,6 @@ McHealthMonitor::transition(unsigned mc, McHealth to, const char *reason)
                                   static_cast<unsigned>(to))});
     pf_inform(Fault, "mc%u health %s -> %s (%s)", mc,
               mcHealthName(from), mcHealthName(to), reason);
-}
-
-bool
-McHealthMonitor::anyUnhealthy() const
-{
-    for (McHealth s : _states)
-        if (s != McHealth::Healthy)
-            return true;
-    return false;
 }
 
 } // namespace pageforge

@@ -14,16 +14,16 @@
  *            re-admission
  *
  * Transitions are driven by the fault/recovery machinery (the module
- * watchdog for wedge paths, the injector's brownout hooks for the
- * Degraded window) and validated here: an illegal edge is a simulator
- * bug and asserts. Every transition emits an instant on the Fault
- * trace track and a greppable pf_inform line; per-state entry counts
- * feed the campaign JSON. Owned by src/system and constructed only
- * when a fault campaign is armed.
+ * watchdog for wedge paths, the fault injector for the Degraded
+ * window of a brownout) and validated here: an illegal edge is a
+ * simulator bug and asserts. Every transition emits an instant on the
+ * Fault trace track and a greppable pf_inform line; per-state entry
+ * counts feed the campaign JSON. The System constructs one only when
+ * a fault campaign arms an MC-scale class.
  */
 
-#ifndef PF_SYSTEM_MC_HEALTH_HH
-#define PF_SYSTEM_MC_HEALTH_HH
+#ifndef PF_FAULT_MC_HEALTH_HH
+#define PF_FAULT_MC_HEALTH_HH
 
 #include <array>
 #include <cstdint>
@@ -81,8 +81,6 @@ class McHealthMonitor : public SimObject
         return _entries[mc][static_cast<unsigned>(state)];
     }
 
-    bool anyUnhealthy() const;
-
   private:
     static bool legalEdge(McHealth from, McHealth to);
 
@@ -95,4 +93,4 @@ class McHealthMonitor : public SimObject
 
 } // namespace pageforge
 
-#endif // PF_SYSTEM_MC_HEALTH_HH
+#endif // PF_FAULT_MC_HEALTH_HH

@@ -11,9 +11,6 @@
  * corrupted key, a poisoned table entry, or a racing write steering
  * the machinery toward a wrong merge is caught here no matter what
  * the layers above concluded.
- *
- * Header-only on purpose: the hypervisor includes it without linking
- * against the fault library.
  */
 
 #ifndef PF_FAULT_MERGE_ORACLE_HH

@@ -140,7 +140,6 @@ class Hypervisor : public SimObject
      * violation. Off by default (it walks all of physical memory).
      */
     void setInvariantChecking(bool on) { _invariantChecks = on; }
-    bool invariantChecking() const { return _invariantChecks; }
 
     /**
      * Install the merge oracle (fault campaigns): every merge commit
@@ -223,17 +222,8 @@ class Hypervisor : public SimObject
     /** Total first-touch zero-fill faults. */
     std::uint64_t softFaults() const { return _softFaults.value(); }
 
-    /** Total VM clones performed. */
-    std::uint64_t vmClones() const { return _vmClones.value(); }
-
     /** Total VM destroys performed. */
     std::uint64_t vmDestroys() const { return _vmDestroys.value(); }
-
-    /** Total frames returned to the pool by destroy/reclaim. */
-    std::uint64_t framesReclaimed() const
-    {
-        return _framesReclaimed.value();
-    }
 
     /** Classify every guest page for the Figure 7 breakdown. */
     DupAnalysis analyzeDuplication() const;

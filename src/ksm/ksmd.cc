@@ -318,6 +318,13 @@ Ksmd::scanOne(CoreId core, const PageKey &key, Tick now)
         ++_mergeStats.pagesDropped;
         return now;
     }
+    if (mem.isPoisoned(other_frame)) {
+        // An uncorrectable error on the reads above quarantined the
+        // keeper. framesEqual compared the pristine arena, but a
+        // poisoned frame must not be shared or enter the stable tree.
+        ++_mergeStats.pagesDropped;
+        return now;
+    }
 
     FrameId merged = _hyper.mergePair(key, other);
     now += cost.mergeCycles + 2 * cost.cowProtectCycles;

@@ -132,7 +132,6 @@ class LifecycleManager : public SimObject
     const LifecycleStats &stats() const { return _stats; }
     void resetStats() { _stats.reset(); }
 
-    const ChurnConfig &churnConfig() const { return _churn; }
     const LifecycleConfig &config() const { return _config; }
 
   private:

@@ -95,26 +95,6 @@ BandwidthTracker::peakGBpsWhenActive(Requester req) const
     return bytesToGBps(peak);
 }
 
-double
-BandwidthTracker::meanGBpsWhenActive(Requester req) const
-{
-    std::uint64_t bytes = 0;
-    std::uint64_t windows = 0;
-    for (const auto &chunk : _chunks) {
-        if (!chunk)
-            continue;
-        for (const Window &w : *chunk) {
-            if (w.perReq[static_cast<unsigned>(req)] > 0) {
-                bytes += w.total;
-                ++windows;
-            }
-        }
-    }
-    if (windows == 0)
-        return 0.0;
-    return bytesToGBps(bytes / windows);
-}
-
 std::uint64_t
 BandwidthTracker::totalBytes(Requester req) const
 {

@@ -85,9 +85,6 @@ class BandwidthTracker
      */
     double peakGBpsWhenActive(Requester req) const;
 
-    /** Mean total bandwidth over windows where @p req is active. */
-    double meanGBpsWhenActive(Requester req) const;
-
     /** Total bytes attributed to a requester class. */
     std::uint64_t totalBytes(Requester req) const;
 

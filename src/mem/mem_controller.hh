@@ -130,8 +130,6 @@ class MemController : public SimObject
         _latencyScale = scale;
     }
 
-    double latencyScale() const { return _latencyScale; }
-
     std::uint64_t eccEncodes() const { return _eccEncodes.value(); }
     std::uint64_t eccDecodes() const { return _eccDecodes.value(); }
     std::uint64_t coalescedReads() const { return _coalesced.value(); }

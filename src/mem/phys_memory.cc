@@ -209,18 +209,6 @@ PhysicalMemory::forEachAllocatedFrameOnShard(
     }
 }
 
-std::size_t
-PhysicalMemory::framesInUseOnShard(unsigned shard) const
-{
-    pf_assert(shard < _numShards, "shard %u out of range", shard);
-    std::size_t count = 0;
-    for (std::size_t i = shard; i < _meta.size(); i += _numShards) {
-        if (_meta[i].allocated)
-            ++count;
-    }
-    return count;
-}
-
 bool
 PhysicalMemory::framesEqual(FrameId a, FrameId b) const
 {

@@ -181,9 +181,6 @@ class PhysicalMemory
         unsigned shard,
         const std::function<void(FrameId, std::uint32_t)> &fn) const;
 
-    /** Frames currently allocated on one shard. */
-    std::size_t framesInUseOnShard(unsigned shard) const;
-
     /** Memory-controller shards backing the frames. */
     unsigned numShards() const { return _numShards; }
 

@@ -108,13 +108,6 @@ class ShardMap
         return ownerOf(homeOf(frame));
     }
 
-    /** Pipeline that serves a page's content: owner of its shard. */
-    unsigned
-    contentOwnerOf(const std::uint8_t *page) const
-    {
-        return ownerOf(contentShardOf(page));
-    }
-
     /** Is this shard currently quarantined (duties re-homed)? */
     bool
     quarantined(unsigned shard) const

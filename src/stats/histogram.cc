@@ -92,24 +92,4 @@ Histogram::reset()
     _sum = _min = _max = 0.0;
 }
 
-void
-Histogram::print(std::ostream &os) const
-{
-    os << "histogram: n=" << _count << " mean=" << mean()
-       << " min=" << minSample() << " max=" << maxSample() << "\n";
-    std::uint64_t peak = 1;
-    for (auto b : _buckets)
-        peak = std::max(peak, b);
-    for (std::size_t i = 0; i < _buckets.size(); ++i) {
-        if (_buckets[i] == 0)
-            continue;
-        os << "  [" << bucketLo(i) << ", " << bucketLo(i + 1) << "): "
-           << _buckets[i] << " ";
-        auto bar = static_cast<std::size_t>(40.0 * _buckets[i] / peak);
-        for (std::size_t j = 0; j < bar; ++j)
-            os << '#';
-        os << "\n";
-    }
-}
-
 } // namespace pageforge

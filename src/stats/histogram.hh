@@ -7,7 +7,6 @@
 #define PF_STATS_HISTOGRAM_HH
 
 #include <cstdint>
-#include <ostream>
 #include <vector>
 
 namespace pageforge
@@ -49,9 +48,6 @@ class Histogram
     double quantile(double q) const;
 
     void reset();
-
-    /** ASCII rendering for debugging. */
-    void print(std::ostream &os) const;
 
   private:
     double _lo;

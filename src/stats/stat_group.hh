@@ -35,33 +35,6 @@ class Counter
     std::uint64_t _value = 0;
 };
 
-/** Running mean of a stream of samples. */
-class Average
-{
-  public:
-    void
-    sample(double v)
-    {
-        _sum += v;
-        ++_count;
-    }
-
-    double mean() const { return _count ? _sum / _count : 0.0; }
-    double sum() const { return _sum; }
-    std::uint64_t count() const { return _count; }
-
-    void
-    reset()
-    {
-        _sum = 0.0;
-        _count = 0;
-    }
-
-  private:
-    double _sum = 0.0;
-    std::uint64_t _count = 0;
-};
-
 /**
  * A named collection of statistics.
  *

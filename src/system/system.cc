@@ -98,39 +98,6 @@ System::System(const SystemConfig &config, const AppProfile &app)
     }
 
     if (_config.faults.enabled()) {
-        // The oracle shadow-checks every merge commit; the injector
-        // draws from its own stream (like content/sched/lifecycle) so
-        // the workload's randomness is untouched by fault activity.
-        _oracle = std::make_unique<MergeOracle>();
-        _hyper->setMergeOracle(_oracle.get());
-        _faults = std::make_unique<FaultInjector>(
-            "fault_injector", _eq, mc_ptrs, *_hyper, _config.faults,
-            _config.seed ^ 0x6661756c74ULL ^ _config.faults.seed);
-        if (_pfDriver) {
-            _pfDriver->setFaultInjector(_faults.get());
-            // Minikey-targeted flips track update_ECC_offset rotations.
-            _faults->setEccOffsetsProvider(
-                [this] { return _pfDriver->config().eccOffsets; });
-        }
-        if (!_pfModules.empty()) {
-            _faults->setScanTableCorruptor([this](Rng &rng) {
-                // The extra module-picking draw only exists on a
-                // multi-MC machine, so the single-MC fault stream is
-                // unchanged from the classic configuration (pinned by
-                // GoldenStats.FaultedPageForgeCellMatchesGoldenSnapshot).
-                PageForgeModule &module = _pfModules.size() == 1
-                    ? *_pfModules[0]
-                    : *_pfModules[static_cast<std::size_t>(
-                          rng.nextBounded(_pfModules.size()))];
-                ScanTable &table = module.table();
-                unsigned index = static_cast<unsigned>(
-                    rng.nextBounded(table.numOtherPages()));
-                FrameId victim = static_cast<FrameId>(
-                    rng.nextBounded(_mem->totalFrames()));
-                return table.corruptOtherPpn(index, victim);
-            });
-        }
-
         // MC-scale fault domains: the health state machine exists for
         // any MC-scale class; the watchdog only when modules can wedge.
         if (_config.faults.mcFaultsEnabled()) {
@@ -140,66 +107,25 @@ System::System(const SystemConfig &config, const AppProfile &app)
         if (!_pfModules.empty() && _config.faults.mcWedgeRate > 0.0) {
             _watchdog = std::make_unique<ModuleWatchdog>(
                 "watchdog", _eq, _config.watchdog, *_pfDriver,
-                *_shardMap);
+                *_shardMap, *_health);
             for (auto &module : _pfModules)
                 _watchdog->watchModule(*module);
-            _watchdog->onQuarantine([this](unsigned mc) {
-                _health->transition(mc, McHealth::Quarantined,
-                                    "module wedge detected");
-            });
-            _watchdog->onRecovering([this](unsigned mc) {
-                _health->transition(mc, McHealth::Recovering,
-                                    "module restarted");
-            });
-            _watchdog->onHealthy([this](unsigned mc) {
-                _health->transition(mc, McHealth::Healthy,
-                                    "re-admitted");
-            });
-            _faults->setModuleWedger([this](Rng &rng) {
-                // Single-module machines skip the picking draw, like
-                // the table corruptor, so adding controllers never
-                // perturbs an existing fault stream's other classes.
-                std::size_t pick = _pfModules.size() == 1
-                    ? 0
-                    : static_cast<std::size_t>(
-                          rng.nextBounded(_pfModules.size()));
-                unsigned mc = static_cast<unsigned>(pick);
-                if (_pfModules[pick]->wedged() || _watchdog->shardDown(mc))
-                    return false;
-                _pfModules[pick]->wedge();
-                return true;
-            });
         }
-        if (_config.faults.brownoutRate > 0.0) {
-            // A brownout only lands on a Healthy channel: Degraded
-            // channels are already browned out, and Quarantined /
-            // Recovering ones are being handled by the watchdog.
-            _faults->setBrownoutHooks(
-                [this](Rng &rng) -> int {
-                    // No picking draw on a 1-MC machine, as above.
-                    std::size_t pick = _mcs.size() == 1
-                        ? 0
-                        : static_cast<std::size_t>(
-                              rng.nextBounded(_mcs.size()));
-                    unsigned mc = static_cast<unsigned>(pick);
-                    if (_health->state(mc) != McHealth::Healthy)
-                        return -1;
-                    _mcs[mc]->setLatencyScale(
-                        _config.faults.brownoutMult);
-                    _health->transition(mc, McHealth::Degraded,
-                                        "channel brownout");
-                    return static_cast<int>(mc);
-                },
-                [this](unsigned mc) {
-                    _mcs[mc]->setLatencyScale(1.0);
-                    // The channel may have been quarantined by a wedge
-                    // mid-brownout; the watchdog then owns its path
-                    // back to Healthy.
-                    if (_health->state(mc) == McHealth::Degraded)
-                        _health->transition(mc, McHealth::Healthy,
-                                            "brownout ended");
-                });
-        }
+
+        // The oracle shadow-checks every merge commit; the injector
+        // draws from its own stream (like content/sched/lifecycle) so
+        // the workload's randomness is untouched by fault activity.
+        _oracle = std::make_unique<MergeOracle>();
+        _hyper->setMergeOracle(_oracle.get());
+        std::vector<PageForgeModule *> module_ptrs;
+        for (auto &module : _pfModules)
+            module_ptrs.push_back(module.get());
+        _faults = std::make_unique<FaultInjector>(
+            "fault_injector", _eq, mc_ptrs, *_hyper, _config.faults,
+            _config.seed ^ 0x6661756c74ULL ^ _config.faults.seed,
+            module_ptrs, _pfDriver.get(), _watchdog.get(), _health.get());
+        if (_pfDriver)
+            _pfDriver->setFaultInjector(_faults.get());
     }
 
     if (_config.churn.kind != ChurnKind::None) {

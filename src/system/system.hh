@@ -16,10 +16,10 @@
 #include <memory>
 #include <vector>
 
+#include "fault/mc_health.hh"
 #include "lifecycle/vm_lifecycle.hh"
 #include "sim/lane_scheduler.hh"
 #include "system/config.hh"
-#include "system/mc_health.hh"
 #include "trace/metrics_sampler.hh"
 #include "workload/content_gen.hh"
 #include "workload/query_gen.hh"
@@ -185,10 +185,10 @@ class System : public VmHost
     std::vector<std::unique_ptr<PageForgeApi>> _pfApis;
     std::unique_ptr<PageForgeDriver> _pfDriver;
 
+    std::unique_ptr<McHealthMonitor> _health;
+    std::unique_ptr<ModuleWatchdog> _watchdog;
     std::unique_ptr<MergeOracle> _oracle;
     std::unique_ptr<FaultInjector> _faults;
-    std::unique_ptr<ModuleWatchdog> _watchdog;
-    std::unique_ptr<McHealthMonitor> _health;
     std::unique_ptr<Rng> _handoffRng; //!< link-fault stream (armed runs)
 
     ProbeRegistry _probes;

@@ -8,10 +8,6 @@
  * macros, and verified the same way by the golden-stats bit-identity
  * suite). When a TraceSink is attached via the ProbeRegistry, calls
  * dispatch through the TraceBackend interface below.
- *
- * This header is intentionally self-contained (no trace_sink.hh): the
- * SimObject base class includes it, and pf_sim must not depend on the
- * trace library's translation units.
  */
 
 #ifndef PF_TRACE_PROBE_HH

@@ -76,12 +76,6 @@ class TraceSink : public TraceBackend
     /** Total events recorded (metadata excluded). */
     std::uint64_t totalEvents() const { return _total_events; }
 
-    /** Dynamic tracks registered (on top of the component tracks). */
-    unsigned numTracks() const
-    {
-        return static_cast<unsigned>(_trackComps.size());
-    }
-
     /** Flow begin/end records written. */
     std::uint64_t flowEvents() const { return _flow_events; }
 

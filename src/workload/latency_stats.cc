@@ -22,13 +22,6 @@ LatencyStats::record(VmId vm, Tick sojourn)
     _aggregate.sample(static_cast<double>(sojourn));
 }
 
-const Sampler &
-LatencyStats::vmSampler(VmId vm) const
-{
-    pf_assert(vm < _perVm.size(), "sampler for unknown VM %u", vm);
-    return _perVm[vm];
-}
-
 double
 LatencyStats::geoMeanOfMeans() const
 {

@@ -31,9 +31,6 @@ class LatencyStats
     /** All samples across VMs. */
     const Sampler &aggregate() const { return _aggregate; }
 
-    /** Samples of one VM. */
-    const Sampler &vmSampler(VmId vm) const;
-
     /** Geometric mean across VMs of the per-VM mean sojourn. */
     double geoMeanOfMeans() const;
 

@@ -47,7 +47,6 @@ TailBenchApp::onArrival()
     if (!_running || !_hyper.vmAlive(_layout.vm))
         return;
     scheduleArrival();
-    ++_issued;
 
     Tick arrival = curTick();
     _core.submit(CoreTask{

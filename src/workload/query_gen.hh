@@ -50,7 +50,6 @@ class TailBenchApp : public SimObject
     VmId vmId() const { return _layout.vm; }
     const AppProfile &profile() const { return _profile; }
 
-    std::uint64_t queriesIssued() const { return _issued.value(); }
     std::uint64_t queriesCompleted() const { return _completed.value(); }
     std::uint64_t cowBreaksTaken() const { return _cowBreaks.value(); }
 
@@ -68,7 +67,6 @@ class TailBenchApp : public SimObject
     Rng _rng;
     bool _running = false;
 
-    Counter _issued;
     Counter _completed;
     Counter _cowBreaks;
 

@@ -161,6 +161,34 @@ TEST_F(KsmdTest, StableTreePinsMergedFrames)
     EXPECT_FALSE(mem.isAllocated(merged));
 }
 
+TEST_F(KsmdTest, PoisonedUnstableKeeperIsDroppedNotMerged)
+{
+    VmId vm0 = makeVm(1);
+    VmId vm1 = makeVm(1);
+    fillSeeded(vm0, 0, 5);
+    fillSeeded(vm1, 0, 5);
+
+    auto ksmd = makeKsmd();
+    ksmd->runOnePassNow(); // first scan: hashes stored, nothing merges
+
+    // Pass 2 inserts vm0's page into the unstable tree and then
+    // matches vm1's twin against it. The keeper's last line has not
+    // been read yet (jhash reads the first 1 KB), so the compare walk
+    // fetches it from DRAM and the double-bit flip poisons the frame
+    // while the arena copy still compares equal.
+    FrameId keeper = hyper.frameOf(vm0, 0);
+    Addr addr = lineAddr(keeper, linesPerPage - 1);
+    mc.injectBitFlip(addr, 3);
+    mc.injectBitFlip(addr, 60);
+    ksmd->runOnePassNow();
+
+    EXPECT_TRUE(mem.isPoisoned(keeper));
+    EXPECT_EQ(hyper.merges(), 0u);
+    EXPECT_NE(hyper.frameOf(vm1, 0), keeper);
+    EXPECT_EQ(ksmd->mergeStats().unstableMerges, 0u);
+    EXPECT_GE(ksmd->mergeStats().pagesDropped, 1u);
+}
+
 TEST_F(KsmdTest, EventModeOccupiesCoresAndMerges)
 {
     VmId vm0 = makeVm(8);

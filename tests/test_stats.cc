@@ -29,17 +29,6 @@ TEST(Counter, IncrementAndAdd)
     EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(Average, MeanOfSamples)
-{
-    Average avg;
-    EXPECT_EQ(avg.mean(), 0.0);
-    avg.sample(2.0);
-    avg.sample(4.0);
-    avg.sample(6.0);
-    EXPECT_DOUBLE_EQ(avg.mean(), 4.0);
-    EXPECT_EQ(avg.count(), 3u);
-}
-
 TEST(StatGroup, DumpsRegisteredStats)
 {
     StatGroup group("g");
