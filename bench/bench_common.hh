@@ -4,7 +4,7 @@
  *
  * Every harness accepts:
  *   --quick        small memory images and short windows (CI-sized)
- *   --scale=X      memory-image scale factor (default 0.25)
+ *   --scale=X      memory-image scale factor (default 0.2)
  *   --queries=N    target queries per measurement window
  *   --seed=S       experiment seed
  *   --jobs=N       parallel campaign workers (default: all cores)

@@ -88,9 +88,13 @@ ModuleWatchdog::handleWedge(unsigned shard)
                        "module wedge detected");
 
     // Fail the shard's content-prefix range and scan duties over to
-    // the next healthy shard. A single-MC machine has no survivor:
-    // the pipeline just pauses until the module restart completes.
-    if (_shardMap.numShards() > 1) {
+    // the next unquarantined shard. With no such survivor (a one-MC
+    // machine, or every other shard already failed over) the pipeline
+    // just pauses in place until the module restart completes.
+    bool survivor = false;
+    for (unsigned other = 0; other < _shardMap.numShards(); ++other)
+        survivor |= other != shard && !_shardMap.quarantined(other);
+    if (survivor) {
         unsigned takeover = _shardMap.quarantine(shard);
         ++_failovers;
         probe().instant("mc-failover", curTick(),

@@ -53,9 +53,6 @@ PageForgeDriver::~PageForgeDriver()
 {
     _hyper.removeVmDestroyListener(_destroyToken);
     _hyper.removePinProvider(_pinToken);
-    for (auto &stable : _stables)
-        stable->clear(
-            [this](PageHandle handle) { onStablePrune(handle); });
 }
 
 bool
@@ -72,19 +69,7 @@ PageForgeDriver::purgeVm(VmId vm_id)
 {
     for (auto &pipeline : _pipelines) {
         Pipeline &p = *pipeline;
-        std::size_t kept_before_cursor = 0;
-        std::vector<PageKey> kept;
-        kept.reserve(p.scanList.size());
-        for (std::size_t i = 0; i < p.scanList.size(); ++i) {
-            if (p.scanList[i].vm == vm_id)
-                continue;
-            if (i < p.cursor)
-                ++kept_before_cursor;
-            kept.push_back(p.scanList[i]);
-        }
-        p.scanList = std::move(kept);
-        p.cursor = kept_before_cursor;
-
+        p.scanList.dropVm(vm_id);
         std::erase_if(p.inbox, [vm_id](const PageKey &key) {
             return key.vm == vm_id;
         });
@@ -99,13 +84,8 @@ PageForgeDriver::purgeVm(VmId vm_id)
                    handleGuest(handle).vm == vm_id;
         });
     }
-    for (auto &stable : _stables) {
-        stable->eraseIf(
-            [this](PageHandle handle) {
-                return _stableAcc.resolve(handle) == nullptr;
-            },
-            [this](PageHandle handle) { onStablePrune(handle); });
-    }
+    for (auto &stable : _stables)
+        stable->pruneStale();
 }
 
 void
@@ -125,12 +105,6 @@ PageForgeDriver::onVmDestroyed(VmId vm_id)
         return;
     }
     purgeVm(vm_id);
-}
-
-void
-PageForgeDriver::onStablePrune(PageHandle handle)
-{
-    _hyper.memory().decRef(handleFrame(handle));
 }
 
 ContentTree *
@@ -161,12 +135,12 @@ PageForgeDriver::startPass(Pipeline &p)
         // independent of the MC count.
         for (auto &unstable : _unstables)
             unstable->clear();
-        p.scanList = _hyper.mergeablePages();
+        p.scanList.pages = _hyper.mergeablePages();
     } else {
         // Each pipeline scans the pages homed on its controller; its
         // unstable tree lives and dies with its own pass.
         _unstables[p.shard]->clear();
-        p.scanList.clear();
+        p.scanList.pages.clear();
         for (const PageKey &key : _hyper.mergeablePages()) {
             FrameId frame = _hyper.frameOf(key.vm, key.gpn);
             if (frame == invalidFrame)
@@ -175,20 +149,27 @@ PageForgeDriver::startPass(Pipeline &p)
             // are scanned by its takeover pipeline until re-admission
             // (identity while no shard is quarantined).
             if (_shardMap.scanOwnerOf(frame) == p.shard)
-                p.scanList.push_back(key);
+                p.scanList.pages.push_back(key);
         }
     }
-    p.cursor = 0;
+    p.scanList.cursor = 0;
     ++_mergeStats.fullPasses;
-    probe().instant("pass-start", curTick(),
-                    {"pages", static_cast<double>(p.scanList.size())});
+    probe().instant(
+        "pass-start", curTick(),
+        {"pages", static_cast<double>(p.scanList.pages.size())});
 }
 
 bool
 PageForgeDriver::pickNextCandidate(Pipeline &p, bool &from_inbox)
 {
-    PhysicalMemory &mem = _hyper.memory();
     from_inbox = false;
+    auto take = [&p](const PageKey &key, const PageState &page,
+                     unsigned attempt) {
+        p.candidate = key;
+        p.candidateFrame = page.frame;
+        p.candidateVersion = page.writeVersion;
+        p.candidateAttempt = attempt;
+    };
 
     // Aborted merges whose backoff elapsed rescan first. They do not
     // consume the interval's page budget: retries are extra work the
@@ -196,22 +177,11 @@ PageForgeDriver::pickNextCandidate(Pipeline &p, bool &from_inbox)
     while (!p.retryQueue.empty()) {
         MergeRetry retry = p.retryQueue.back();
         p.retryQueue.pop_back();
-        if (retry.key.vm >= _hyper.numVms() ||
-            !_hyper.vmAlive(retry.key.vm))
-            continue;
-        const VirtualMachine &machine = _hyper.vm(retry.key.vm);
-        if (retry.key.gpn >= machine.numPages())
-            continue;
-        const PageState &page = machine.page(retry.key.gpn);
-        if (!page.mapped || !page.mergeable ||
-            mem.isPoisoned(page.frame) || mem.refCount(page.frame) > 1)
-            continue;
-        ++_mergeStats.pagesScanned;
-        p.candidate = retry.key;
-        p.candidateFrame = page.frame;
-        p.candidateVersion = page.writeVersion;
-        p.candidateAttempt = retry.attempt;
-        return true;
+        if (const PageState *page = _hyper.mergeCandidate(retry.key)) {
+            ++_mergeStats.pagesScanned;
+            take(retry.key, *page, retry.attempt);
+            return true;
+        }
     }
 
     // Candidates handed over from other pipelines next; their home
@@ -221,53 +191,30 @@ PageForgeDriver::pickNextCandidate(Pipeline &p, bool &from_inbox)
     while (!p.inbox.empty()) {
         PageKey key = p.inbox.front();
         p.inbox.pop_front();
-        if (key.vm >= _hyper.numVms() || !_hyper.vmAlive(key.vm))
-            continue;
-        const VirtualMachine &machine = _hyper.vm(key.vm);
-        if (key.gpn >= machine.numPages())
-            continue;
-        const PageState &page = machine.page(key.gpn);
-        if (!page.mapped || !page.mergeable ||
-            mem.isPoisoned(page.frame) || mem.refCount(page.frame) > 1)
-            continue;
-        p.candidate = key;
-        p.candidateFrame = page.frame;
-        p.candidateVersion = page.writeVersion;
-        p.candidateAttempt = 0;
-        from_inbox = true;
-        return true;
+        if (const PageState *page = _hyper.mergeCandidate(key)) {
+            take(key, *page, 0);
+            from_inbox = true;
+            return true;
+        }
     }
 
     while (p.remaining > 0) {
-        if (p.cursor >= p.scanList.size())
+        if (p.scanList.done())
             startPass(p);
-        if (p.scanList.empty())
+        if (p.scanList.pages.empty())
             return false;
 
-        PageKey key = p.scanList[p.cursor++];
+        PageKey key = p.scanList.next();
         --p.remaining;
         ++_mergeStats.pagesScanned;
 
         // The VM may have died while its purge waits on another
         // pipeline's in-flight candidate (never happens with a single
         // pipeline: purges run before the pick there).
-        if (key.vm >= _hyper.numVms() || !_hyper.vmAlive(key.vm))
-            continue;
-
-        const VirtualMachine &machine = _hyper.vm(key.vm);
-        const PageState &page = machine.page(key.gpn);
-        if (!page.mapped || !page.mergeable)
-            continue;
-        if (mem.isPoisoned(page.frame))
-            continue; // quarantined by an uncorrectable error
-        if (mem.refCount(page.frame) > 1)
-            continue; // already merged, lives in the stable tree
-
-        p.candidate = key;
-        p.candidateFrame = page.frame;
-        p.candidateVersion = page.writeVersion;
-        p.candidateAttempt = 0;
-        return true;
+        if (const PageState *page = _hyper.mergeCandidate(key)) {
+            take(key, *page, 0);
+            return true;
+        }
     }
     return false;
 }
@@ -315,10 +262,7 @@ restart:
 
     // The subtree root itself may have gone stale.
     if (!acc.resolve(tree.handle(subtree_root))) {
-        PageHandle stale = tree.handle(subtree_root);
         tree.erase(subtree_root);
-        if (p.phase == Phase::Stable)
-            onStablePrune(stale);
         subtree_root = tree.root();
         if (!subtree_root) {
             // Tree emptied: program a batch with no entries; the
@@ -339,10 +283,7 @@ restart:
             if (!child || nodes.size() >= capacity)
                 continue;
             if (!acc.resolve(tree.handle(child))) {
-                PageHandle stale = tree.handle(child);
                 tree.erase(child);
-                if (p.phase == Phase::Stable)
-                    onStablePrune(stale);
                 goto restart;
             }
             nodes.push_back(child);
@@ -640,7 +581,6 @@ PageForgeDriver::handleUnstableMatch(Pipeline &p, ContentTree::Node *node)
     if (mergeRaced(p))
         return abortMergedRace(p);
 
-    PhysicalMemory &mem = _hyper.memory();
     PageKey other = handleGuest(unstableShardTree(p).handle(node));
     FrameId other_frame = _hyper.frameOf(other.vm, other.gpn);
     FrameId cand_frame = _hyper.frameOf(p.candidate.vm, p.candidate.gpn);
@@ -650,7 +590,7 @@ PageForgeDriver::handleUnstableMatch(Pipeline &p, ContentTree::Node *node)
         ++_mergeStats.pagesDropped;
         return Action::CandidateDone;
     }
-    if (!mem.framesEqual(cand_frame, other_frame)) {
+    if (!_hyper.memory().framesEqual(cand_frame, other_frame)) {
         // Hardware said Duplicate; the final software compare says
         // otherwise — a racing write or a false key match.
         ++_mergeStats.pagesDropped;
@@ -668,17 +608,15 @@ PageForgeDriver::handleUnstableMatch(Pipeline &p, ContentTree::Node *node)
     unstableShardTree(p).erase(node);
 
     // Insert the merged page into the stable tree at the position the
-    // hardware's stable search discovered for this very content.
-    ContentTree::Node *stable_node = nullptr;
+    // hardware's stable search discovered for this very content. The
+    // tree pins the frame.
     if (p.stableInsertValid) {
-        stable_node = stableShardTree(p).insertChild(
-            p.stableInsertParent, p.stableInsertLeft,
-            frameHandle(merged));
+        stableShardTree(p).insertChild(p.stableInsertParent,
+                                       p.stableInsertLeft,
+                                       frameHandle(merged));
     } else {
-        stable_node = stableShardTree(p).insert(frameHandle(merged));
+        stableShardTree(p).insert(frameHandle(merged));
     }
-    if (stable_node)
-        mem.addRef(merged); // the tree pins the frame
 
     return Action::CandidateDone;
 }
@@ -1120,7 +1058,7 @@ PageForgeDriver::runOnePassNow()
     _synchronous = true;
 
     startPass(p);
-    p.remaining = static_cast<unsigned>(p.scanList.size());
+    p.remaining = static_cast<unsigned>(p.scanList.pages.size());
 
     std::uint64_t processed = 0;
     bool from_inbox = false;

@@ -251,8 +251,7 @@ class PageForgeDriver : public SimObject
     {
         unsigned shard = 0; //!< home shard this pipeline scans
 
-        std::vector<PageKey> scanList;
-        std::size_t cursor = 0;
+        ScanList scanList;
         unsigned remaining = 0; //!< interval page budget left
 
         // Candidates handed over from other pipelines (their content
@@ -440,8 +439,6 @@ class PageForgeDriver : public SimObject
 
     /** Bill accumulated driver cycles to a core (interrupt context). */
     void chargeCore(Tick cycles);
-
-    void onStablePrune(PageHandle handle);
 
     /** VM-destroy listener: purge or schedule purge of stale state. */
     void onVmDestroyed(VmId vm_id);

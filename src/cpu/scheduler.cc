@@ -13,8 +13,10 @@ KsmScheduler::KsmScheduler(std::string name, EventQueue &eq,
       _placements(num_cores, 0)
 {
     pf_assert(num_cores > 0, "scheduler with no cores");
-    pf_assert(stickiness >= 0.0 && stickiness < 1.0,
-              "stickiness must be in [0, 1)");
+    // 1.0 is valid: chance(1.0) always holds, so a Sticky scheduler
+    // never leaves its first pick.
+    pf_assert(stickiness >= 0.0 && stickiness <= 1.0,
+              "stickiness must be in [0, 1]");
 }
 
 CoreId

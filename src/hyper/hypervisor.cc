@@ -364,6 +364,21 @@ Hypervisor::mergeablePages() const
     return keys;
 }
 
+PageState *
+Hypervisor::mergeCandidate(const PageKey &key)
+{
+    if (!vmAlive(key.vm))
+        return nullptr;
+    VirtualMachine &machine = *_vms[key.vm];
+    if (key.gpn >= machine.numPages())
+        return nullptr;
+    PageState &page = machine.page(key.gpn);
+    if (!page.mapped || !page.mergeable || _mem.isPoisoned(page.frame) ||
+        _mem.refCount(page.frame) > 1)
+        return nullptr;
+    return &page;
+}
+
 bool
 Hypervisor::mergeIntoFrame(const PageKey &candidate, FrameId target)
 {

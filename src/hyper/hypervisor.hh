@@ -185,6 +185,16 @@ class Hypervisor : public SimObject
     std::vector<PageKey> mergeablePages() const;
 
     /**
+     * The merging daemons' candidate check: a page is worth a scan
+     * when its VM is alive, it is mapped and advised mergeable, and its
+     * frame is neither poisoned nor already shared (a shared frame
+     * lives in the stable tree).
+     *
+     * @return the page's state, or nullptr when @p key is no candidate
+     */
+    PageState *mergeCandidate(const PageKey &key);
+
+    /**
      * Merge a candidate guest page into an existing (write-protected)
      * stable frame. The caller must have verified byte equality; this
      * re-verifies and panics on mismatch, since merging unequal pages

@@ -1,6 +1,7 @@
 /**
  * @file
- * Page handles and accessors shared by the merging daemons.
+ * Page handles, accessors and the scan list shared by the merging
+ * daemons.
  *
  * The stable tree references merged frames directly (they are
  * write-protected, so their contents — the tree key — cannot change).
@@ -11,6 +12,8 @@
 
 #ifndef PF_KSM_ACCESSORS_HH
 #define PF_KSM_ACCESSORS_HH
+
+#include <vector>
 
 #include "hyper/hypervisor.hh"
 #include "ksm/content_tree.hh"
@@ -61,8 +64,9 @@ isGuestHandle(PageHandle handle)
 /**
  * Accessor for stable-tree nodes (frame handles).
  *
- * The tree holds a reference on every frame it contains, so the frame
- * stays allocated while the node exists. A frame whose only remaining
+ * The tree holds a reference on every frame it contains, taken when
+ * the node is linked and dropped when it leaves, so the frame stays
+ * allocated while the node exists. A frame whose only remaining
  * reference is the tree's (refcount 1) backs no guest page any more:
  * the node is stale and gets pruned. A poisoned (quarantined) frame
  * resolves the same way: the walkers treat it as a prune, dropping
@@ -81,6 +85,18 @@ class StableAccessor : public PageAccessor
             _mem.isPoisoned(frame))
             return nullptr;
         return _mem.data(frame);
+    }
+
+    void
+    retain(PageHandle handle) override
+    {
+        _mem.addRef(handleFrame(handle));
+    }
+
+    void
+    release(PageHandle handle) override
+    {
+        _mem.decRef(handleFrame(handle));
     }
 
   private:
@@ -111,6 +127,39 @@ class GuestAccessor : public PageAccessor
 
   private:
     Hypervisor &_hyper;
+};
+
+/** A daemon's snapshot of the pages to scan this pass, and its cursor. */
+struct ScanList
+{
+    std::vector<PageKey> pages;
+    std::size_t cursor = 0;
+
+    /** True once every page of the pass has been handed out. */
+    bool done() const { return cursor >= pages.size(); }
+
+    /** The next page of the pass. @pre !done() */
+    PageKey next() { return pages[cursor++]; }
+
+    /**
+     * Drop a destroyed VM's pages, keeping the cursor on the same next
+     * page.
+     */
+    void
+    dropVm(VmId vm_id)
+    {
+        std::size_t kept = 0;
+        std::size_t kept_before_cursor = 0;
+        for (std::size_t i = 0; i < pages.size(); ++i) {
+            if (pages[i].vm == vm_id)
+                continue;
+            if (i < cursor)
+                ++kept_before_cursor;
+            pages[kept++] = pages[i];
+        }
+        pages.resize(kept);
+        cursor = kept_before_cursor;
+    }
 };
 
 } // namespace pageforge

@@ -77,16 +77,16 @@ ContentTree::freeNode(Node *node)
 }
 
 void
-ContentTree::destroySubtree(Node *node, const PruneHook &prune)
+ContentTree::destroySubtree(Node *node)
 {
     if (node == _nil)
         return;
     // Explicit stack: recursion depth equals tree height, and while a
     // healthy red-black tree is logarithmic, churn workloads tear down
     // large trees often enough that we refuse to bet the host stack on
-    // it. Prune order must stay post-order (left, right, node) — hooks
-    // release simulated resources, and release order is visible to the
-    // deterministic allocator.
+    // it. Release order must stay post-order (left, right, node) — the
+    // accessor may free simulated frames, and release order is visible
+    // to the deterministic allocator.
     std::vector<std::pair<Node *, bool>> stack;
     stack.push_back({node, false});
     while (!stack.empty()) {
@@ -102,24 +102,22 @@ ContentTree::destroySubtree(Node *node, const PruneHook &prune)
         } else {
             Node *cur = top;
             stack.pop_back();
-            if (prune)
-                prune(cur->handle);
+            _accessor.release(cur->handle);
             freeNode(cur);
         }
     }
 }
 
 void
-ContentTree::clear(const PruneHook &prune)
+ContentTree::clear()
 {
-    destroySubtree(_root, prune);
+    destroySubtree(_root);
     _root = _nil;
     _size = 0;
 }
 
 ContentTree::SearchResult
-ContentTree::search(const std::uint8_t *probe, const CompareHook &hook,
-                    const PruneHook &prune)
+ContentTree::search(const std::uint8_t *probe, const CompareHook &hook)
 {
     // Inclusive of the nested SimdCompare samples: the site measures
     // the whole walk, compares and all.
@@ -136,10 +134,7 @@ restart:
         if (!node_data) {
             // Stale node: drop it like KSM drops pages that vanished,
             // then restart from the root (the tree just changed shape).
-            PageHandle stale = cur->handle;
             erase(cur);
-            if (prune)
-                prune(stale);
             result.match = nullptr;
             goto restart;
         }
@@ -185,6 +180,7 @@ ContentTree::insertAt(const SearchResult &result, PageHandle handle)
 
     ++_size;
     insertFixup(node);
+    _accessor.retain(handle);
     return node;
 }
 
@@ -342,14 +338,14 @@ ContentTree::erase(Node *z)
     if (!y_was_red)
         eraseFixup(x);
 
+    _accessor.release(z->handle);
     freeNode(z);
     --_size;
     _nil->parent = _nil; // eraseFixup may have dirtied the sentinel
 }
 
 std::size_t
-ContentTree::eraseIf(const std::function<bool(PageHandle)> &pred,
-                     const PruneHook &prune)
+ContentTree::eraseIf(const std::function<bool(PageHandle)> &pred)
 {
     // Collect first: erase(z) removes exactly node z (transplant moves
     // pointers, handles are never copied between nodes), so collected
@@ -370,13 +366,17 @@ ContentTree::eraseIf(const std::function<bool(PageHandle)> &pred,
         walk = walk->right;
     }
 
-    for (Node *node : victims) {
-        PageHandle handle = node->handle;
+    for (Node *node : victims)
         erase(node);
-        if (prune)
-            prune(handle);
-    }
     return victims.size();
+}
+
+std::size_t
+ContentTree::pruneStale()
+{
+    return eraseIf([this](PageHandle handle) {
+        return _accessor.resolve(handle) == nullptr;
+    });
 }
 
 void

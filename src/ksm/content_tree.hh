@@ -6,9 +6,11 @@
  * Nodes reference pages by opaque 64-bit handles; a PageAccessor
  * resolves a handle to the page's current bytes (or nullptr when the
  * page is gone, in which case the stale node is pruned during search,
- * as KSM does). Ordering is the lexicographic byte order of page
- * contents: searches walk left when the probe page compares smaller
- * than the node's page and right when larger.
+ * as KSM does) and hears about every node that enters or leaves the
+ * tree, so a tree can hold resources for its nodes. Ordering is the
+ * lexicographic byte order of page contents: searches walk left when
+ * the probe page compares smaller than the node's page and right when
+ * larger.
  *
  * Comparison work is reported through a hook so the caller (ksmd) can
  * charge core cycles and drive the touched lines through the cache
@@ -42,6 +44,15 @@ class PageAccessor
      *         longer refers to a usable page (stale node)
      */
     virtual const std::uint8_t *resolve(PageHandle handle) = 0;
+
+    /** A node holding @p handle was linked into a tree. */
+    virtual void retain(PageHandle handle) { (void)handle; }
+
+    /**
+     * A node holding @p handle left a tree: erased, pruned as stale,
+     * cleared, or destroyed with the tree.
+     */
+    virtual void release(PageHandle handle) { (void)handle; }
 };
 
 /**
@@ -81,12 +92,6 @@ class ContentTree
     using CompareHook =
         std::function<void(PageHandle node_handle, const PageCompare &cmp)>;
 
-    /**
-     * Called when a stale node (accessor returned nullptr) is pruned
-     * during a search, e.g. so the owner can release resources.
-     */
-    using PruneHook = std::function<void(PageHandle node_handle)>;
-
     explicit ContentTree(PageAccessor &accessor);
     ~ContentTree();
 
@@ -109,8 +114,7 @@ class ContentTree
      * Every node compare is a whole-page comparePages() from byte 0.
      */
     SearchResult search(const std::uint8_t *probe,
-                        const CompareHook &hook = {},
-                        const PruneHook &prune = {});
+                        const CompareHook &hook = {});
 
     /**
      * Attach a new node at the position a failed search returned.
@@ -130,19 +134,21 @@ class ContentTree
     /** Search and attach in one step; returns null if a match exists. */
     Node *insert(PageHandle handle, const CompareHook &hook = {});
 
-    /** Detach and free a node. */
+    /** Detach and free a node, releasing its handle. */
     void erase(Node *node);
 
     /**
      * Erase every node whose handle satisfies @p pred (used to purge
-     * entries of a destroyed VM), calling @p prune for each.
+     * entries of a destroyed VM).
      * @return number of nodes erased
      */
-    std::size_t eraseIf(const std::function<bool(PageHandle)> &pred,
-                        const PruneHook &prune = {});
+    std::size_t eraseIf(const std::function<bool(PageHandle)> &pred);
+
+    /** Erase every node whose handle no longer resolves. */
+    std::size_t pruneStale();
 
     /** Drop all nodes (the unstable tree's end-of-pass reset). */
-    void clear(const PruneHook &prune = {});
+    void clear();
 
     std::size_t size() const { return _size; }
     bool empty() const { return _size == 0; }
@@ -182,7 +188,7 @@ class ContentTree
 
     Node *makeNode(PageHandle handle);
     void freeNode(Node *node);
-    void destroySubtree(Node *node, const PruneHook &prune);
+    void destroySubtree(Node *node);
 
     void rotateLeft(Node *x);
     void rotateRight(Node *x);

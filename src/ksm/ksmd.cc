@@ -28,27 +28,12 @@ Ksmd::~Ksmd()
 {
     _hyper.removeVmDestroyListener(_destroyToken);
     _hyper.removePinProvider(_pinToken);
-    // Release the stable tree's frame references.
-    _stable.clear([this](PageHandle handle) { onStablePrune(handle); });
 }
 
 void
 Ksmd::onVmDestroyed(VmId vm_id)
 {
-    // Drop the dead VM's pages from the scan snapshot, keeping the
-    // cursor on the same next page.
-    std::size_t kept_before_cursor = 0;
-    std::vector<PageKey> kept;
-    kept.reserve(_scanList.size());
-    for (std::size_t i = 0; i < _scanList.size(); ++i) {
-        if (_scanList[i].vm == vm_id)
-            continue;
-        if (i < _cursor)
-            ++kept_before_cursor;
-        kept.push_back(_scanList[i]);
-    }
-    _scanList = std::move(kept);
-    _cursor = kept_before_cursor;
+    _scanList.dropVm(vm_id);
 
     // Unstable nodes reference the VM's guest pages directly.
     _unstable.eraseIf([vm_id](PageHandle handle) {
@@ -57,19 +42,9 @@ Ksmd::onVmDestroyed(VmId vm_id)
 
     // Stable nodes reference frames, not VMs; the teardown's decRefs
     // just made the nodes whose frame lost its last guest mapping
-    // resolve to nullptr. Prune them now, releasing the tree's pin so
-    // the frames actually return to the free pool.
-    _stable.eraseIf(
-        [this](PageHandle handle) {
-            return _stableAcc.resolve(handle) == nullptr;
-        },
-        [this](PageHandle handle) { onStablePrune(handle); });
-}
-
-void
-Ksmd::onStablePrune(PageHandle handle)
-{
-    _hyper.memory().decRef(handleFrame(handle));
+    // resolve to nullptr. Pruning them releases the tree's pin, so the
+    // frames actually return to the free pool.
+    _stable.pruneStale();
 }
 
 void
@@ -130,11 +105,10 @@ void
 Ksmd::startPass()
 {
     _unstable.clear();
-    _scanList = _hyper.mergeablePages();
-    _cursor = 0;
+    _scanList = ScanList{_hyper.mergeablePages()};
     ++_mergeStats.fullPasses;
     probe().instant("pass-start", curTick(),
-                    {"pages", static_cast<double>(_scanList.size())});
+                    {"pages", static_cast<double>(_scanList.pages.size())});
 }
 
 Tick
@@ -145,13 +119,13 @@ Ksmd::scanSlice(CoreId core, Tick start)
 
     while (_intervalPagesLeft > 0 &&
            now - start < _config.timeslice) {
-        if (_cursor >= _scanList.size())
+        if (_scanList.done())
             startPass();
-        if (_scanList.empty()) {
+        if (_scanList.pages.empty()) {
             _intervalPagesLeft = 0;
             break;
         }
-        PageKey key = _scanList[_cursor++];
+        PageKey key = _scanList.next();
         --_intervalPagesLeft;
         now = scanOne(core, key, now);
     }
@@ -166,8 +140,8 @@ Ksmd::runOnePassNow()
     startPass();
     Tick now = curTick();
     Tick begin = now;
-    while (_cursor < _scanList.size())
-        now = scanOne(0, _scanList[_cursor++], now);
+    while (!_scanList.done())
+        now = scanOne(0, _scanList.next(), now);
     return now - begin;
 }
 
@@ -205,29 +179,15 @@ Ksmd::scanOne(CoreId core, const PageKey &key, Tick now)
 
     ++_mergeStats.pagesScanned;
 
-    VirtualMachine &machine = _hyper.vm(key.vm);
-    PageState &page = machine.page(key.gpn);
-    if (!page.mapped || !page.mergeable) {
+    PageState *candidate = _hyper.mergeCandidate(key);
+    if (!candidate) {
+        // Unmapped, unadvised, poisoned or already merged: cheap skip.
         now += cost.skipOverheadCycles;
         _cycleStats.otherCycles += cost.skipOverheadCycles;
         return now;
     }
-
+    PageState &page = *candidate;
     FrameId frame = page.frame;
-    if (mem.isPoisoned(frame)) {
-        // Quarantined by an uncorrectable error: not a candidate, not
-        // a keeper. The stable accessor prunes poisoned tree nodes on
-        // the walk itself; here we just skip.
-        now += cost.skipOverheadCycles;
-        _cycleStats.otherCycles += cost.skipOverheadCycles;
-        return now;
-    }
-    if (mem.refCount(frame) > 1) {
-        // Already merged: it lives in the stable tree; cheap skip.
-        now += cost.skipOverheadCycles;
-        _cycleStats.otherCycles += cost.skipOverheadCycles;
-        return now;
-    }
 
     now += cost.candidateOverheadCycles;
     _cycleStats.otherCycles += cost.candidateOverheadCycles;
@@ -251,11 +211,7 @@ Ksmd::scanOne(CoreId core, const PageKey &key, Tick now)
     // ---- 1. Stable tree search (Algorithm 1, line 7) ----
     ++_mergeStats.stableSearches;
     Tick phase_start = now;
-    auto stable_prune = [this](PageHandle handle) {
-        onStablePrune(handle);
-    };
-    ContentTree::SearchResult stable_res =
-        _stable.search(data, hook, stable_prune);
+    ContentTree::SearchResult stable_res = _stable.search(data, hook);
     _cycleStats.compareCycles += now - phase_start;
 
     if (stable_res.match) {
@@ -339,13 +295,8 @@ Ksmd::scanOne(CoreId core, const PageKey &key, Tick now)
     // (Algorithm 1, lines 16-17).
     _unstable.erase(unstable_res.match);
     phase_start = now;
-    ContentTree::Node *stable_node =
-        _stable.insert(frameHandle(merged), hook);
+    _stable.insert(frameHandle(merged), hook);
     _cycleStats.compareCycles += now - phase_start;
-    if (stable_node) {
-        // The tree now pins the merged frame.
-        mem.addRef(merged);
-    }
     now += 2 * cost.treeUpdateCycles;
     _cycleStats.otherCycles += 2 * cost.treeUpdateCycles;
     return now;

@@ -105,8 +105,7 @@ class Ksmd : public SimObject
     ContentTree _stable;
     ContentTree _unstable;
 
-    std::vector<PageKey> _scanList;
-    std::size_t _cursor = 0;
+    ScanList _scanList;
     bool _running = false;
 
     int _destroyToken = -1;
@@ -143,9 +142,6 @@ class Ksmd : public SimObject
 
     /** Purge scan list and tree entries of a destroyed VM. */
     void onVmDestroyed(VmId vm_id);
-
-    /** Tree prune hook releasing the stable tree's frame reference. */
-    void onStablePrune(PageHandle handle);
 };
 
 } // namespace pageforge

@@ -131,12 +131,14 @@ runCampaign(const CampaignSpec &spec)
         // Arm thread-local invariant capture: a panicAt() fired by a
         // component (merge oracle, frame audit, ...) surfaces as a
         // typed exception with the faulting component and tick, and
-        // fails only this cell instead of aborting the campaign.
+        // fails only this cell instead of aborting the campaign. With
+        // one job this is the caller's thread: restore its state.
+        bool was_capturing = invariantCapture();
         setInvariantCapture(true);
         for (;;) {
             std::size_t idx = next.fetch_add(1);
             if (idx >= matrix.size())
-                return;
+                break;
             CellOutcome &outcome = report.cells[idx];
             outcome.cell = matrix[idx];
             try {
@@ -158,6 +160,7 @@ runCampaign(const CampaignSpec &spec)
                 spec.progress(outcome, so_far, matrix.size());
             }
         }
+        setInvariantCapture(was_capturing);
     };
 
     if (jobs <= 1) {

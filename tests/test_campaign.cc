@@ -12,6 +12,7 @@
 #include <stdexcept>
 
 #include "prof/profiler.hh"
+#include "sim/logging.hh"
 #include "system/campaign.hh"
 
 namespace pageforge
@@ -190,6 +191,22 @@ TEST(CampaignRunTest, NonStdExceptionIsCapturedToo)
     ASSERT_EQ(report.cells.size(), 1u);
     EXPECT_EQ(report.failures(), 1u);
     EXPECT_EQ(report.cells[0].error, "unknown exception");
+}
+
+TEST(CampaignRunTest, SerialRunRestoresTheCallersInvariantCapture)
+{
+    // With one job the cells run on the calling thread; capture must
+    // not stay armed there, or a later panicAt() throws, not aborts.
+    CampaignSpec spec;
+    spec.apps = {"a", "b"};
+    spec.modes = {DedupMode::None};
+    spec.jobs = 1;
+    spec.runner = fakeResult;
+
+    ASSERT_FALSE(invariantCapture());
+    CampaignReport report = runCampaign(spec);
+    EXPECT_EQ(report.failures(), 0u);
+    EXPECT_FALSE(invariantCapture());
 }
 
 TEST(CampaignRunTest, ProgressSeesEveryCellExactlyOnce)

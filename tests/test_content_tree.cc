@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ksm/accessors.hh"
 #include "ksm/content_tree.hh"
 #include "sim/rng.hh"
 
@@ -19,7 +20,10 @@ namespace pageforge
 namespace
 {
 
-/** Test accessor over an owned pool of pages. */
+/**
+ * Test accessor over an owned pool of pages; counts the handles the
+ * tree retains and releases.
+ */
 class PoolAccessor : public PageAccessor
 {
   public:
@@ -54,6 +58,12 @@ class PoolAccessor : public PageAccessor
         }
         return _pages[handle].get();
     }
+
+    void retain(PageHandle handle) override { retained.push_back(handle); }
+    void release(PageHandle handle) override { released.push_back(handle); }
+
+    std::vector<PageHandle> retained;
+    std::vector<PageHandle> released;
 
   private:
     std::vector<std::unique_ptr<std::uint8_t[]>> _pages;
@@ -249,13 +259,11 @@ TEST(ContentTree, SearchPrunesStaleNodes)
 
     pool.invalidate(b);
 
-    std::vector<PageHandle> pruned;
-    auto result = tree.search(pool.resolve(c), {},
-                              [&](PageHandle h) { pruned.push_back(h); });
+    auto result = tree.search(pool.resolve(c));
     ASSERT_NE(result.match, nullptr);
     EXPECT_EQ(tree.handle(result.match), c);
-    ASSERT_EQ(pruned.size(), 1u);
-    EXPECT_EQ(pruned[0], b);
+    ASSERT_EQ(pool.released.size(), 1u);
+    EXPECT_EQ(pool.released[0], b);
     EXPECT_EQ(tree.size(), 2u);
     EXPECT_TRUE(tree.validate());
 }
@@ -292,11 +300,43 @@ TEST(ContentTree, ClearInvokesPruneForEveryNode)
     for (int i = 0; i < 10; ++i)
         tree.insert(pool.addBytes(static_cast<std::uint8_t>(i)));
 
-    unsigned pruned = 0;
-    tree.clear([&](PageHandle) { ++pruned; });
-    EXPECT_EQ(pruned, 10u);
+    EXPECT_EQ(pool.retained.size(), 10u);
+    EXPECT_TRUE(pool.released.empty());
+    tree.clear();
+    EXPECT_EQ(pool.released.size(), 10u);
     EXPECT_TRUE(tree.empty());
     EXPECT_EQ(tree.root(), nullptr);
+}
+
+TEST(ContentTree, InsertReleasesStaleStableNodeItDrops)
+{
+    // A stable tree pins its frames. When both guest mappings of a
+    // frame go away, the tree's pin is the frame's last reference; an
+    // insert whose descent meets the stale node prunes it, and that
+    // prune must drop the pin so the frame returns to the pool.
+    PhysicalMemory mem(16);
+    StableAccessor acc(mem);
+    ContentTree tree(acc);
+
+    auto shared_frame = [&](std::uint8_t value) {
+        FrameId frame = mem.allocFrame(false);
+        std::memset(mem.data(frame), value, pageSize);
+        mem.addRef(frame); // two guest mappings, as after a merge
+        return frame;
+    };
+    FrameId a = shared_frame(0x10);
+    ASSERT_NE(tree.insert(frameHandle(a)), nullptr);
+    EXPECT_EQ(mem.refCount(a), 3u);
+
+    mem.decRef(a);
+    mem.decRef(a);
+    EXPECT_TRUE(mem.isAllocated(a));
+
+    FrameId b = shared_frame(0x20);
+    ASSERT_NE(tree.insert(frameHandle(b)), nullptr);
+    EXPECT_FALSE(mem.isAllocated(a));
+    EXPECT_EQ(tree.size(), 1u);
+    EXPECT_EQ(mem.refCount(b), 3u);
 }
 
 TEST(ContentTree, InsertChildStructural)

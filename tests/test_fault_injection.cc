@@ -12,13 +12,17 @@
 
 #include "sim_fixture.hh"
 
+#include "core/module_watchdog.hh"
 #include "ecc/ecc_hash_key.hh"
 #include "fault/fault_config.hh"
 #include "fault/fault_injector.hh"
+#include "fault/mc_health.hh"
 #include "fault/merge_oracle.hh"
+#include "shard/shard_map.hh"
 #include "sim/logging.hh"
 #include "system/campaign.hh"
 #include "system/experiment.hh"
+#include "system/system.hh"
 
 namespace pageforge
 {
@@ -548,6 +552,42 @@ TEST(FaultExperimentTest, SingleMcWedgeRestartsWithoutFailover)
     EXPECT_GT(r.faults.readmissions, 0u);
     EXPECT_EQ(r.faults.oracleViolations, 0u);
     EXPECT_TRUE(r.perMc.empty()); // classic machine: no breakdown
+}
+
+TEST(FaultExperimentTest, WholeFleetWedgePausesTheLastShardInPlace)
+{
+    SystemConfig sys = mcFleetSystem(4);
+    sys.mode = DedupMode::PageForge;
+    sys.memScale = 0.03;
+    // The class arms the watchdog; at this rate no wedge lands on its
+    // own, so the only wedges are the four below.
+    sys.faults = FaultConfig::parse("mcwedge=0.001,seed=1");
+    // Recovery outlasts a scan interval, so every module is detected
+    // while the others are still down.
+    sys.watchdog.recoveryDelay = msToTicks(20);
+    System system(sys, tinyApp());
+    system.deploy();
+    system.warmupDedup(2);
+    system.startLoad();
+    for (unsigned mc = 0; mc < 4; ++mc)
+        system.pfModule(mc)->wedge();
+
+    // Three shards fail over in turn; the fourth has no unquarantined
+    // survivor and pauses in place, like a one-MC machine.
+    system.run(msToTicks(15));
+    ModuleWatchdog &watchdog = *system.watchdog();
+    EXPECT_EQ(watchdog.wedgesDetected(), 4u);
+    EXPECT_EQ(watchdog.moduleRestarts(), 4u);
+    EXPECT_EQ(watchdog.failovers(), 3u);
+    EXPECT_EQ(watchdog.readmissions(), 0u);
+
+    // Every shard comes back, the quarantined and the paused alike.
+    system.run(msToTicks(20));
+    EXPECT_EQ(watchdog.readmissions(), 4u);
+    EXPECT_FALSE(system.shardMap()->anyQuarantined());
+    for (unsigned mc = 0; mc < 4; ++mc)
+        EXPECT_EQ(system.healthMonitor()->state(mc), McHealth::Healthy);
+    EXPECT_EQ(system.mergeOracle()->violations(), 0u);
 }
 
 TEST(FaultExperimentTest, BrownoutDegradesAndRecovers)

@@ -10,7 +10,9 @@ Runs pfsim and asserts one exit code per case:
   1  a campaign given single-run flags (--metrics-csv, --dump-stats,
      --window-ms); the error names the flag and no CSV is written;
   0  a well-formed single run;
-  0  a well-formed campaign, which writes its JSON.
+  0  a well-formed campaign, which writes its JSON;
+  0  --help and -h, which print the usage to stdout (with a literal
+     "frame % N", not printf's "%%").
 """
 
 import pathlib
@@ -65,11 +67,25 @@ def main(argv):
             if output and output.exists() != want_output:
                 problems.append(f"{output.name} "
                                 f"{'missing' if want_output else 'written'}")
-            verdict = "FAIL" if problems else "ok"
-            print(f"{verdict}: {name}"
-                  + (": " + "; ".join(problems) if problems else ""))
-            failures += bool(problems)
+            failures += report(name, problems)
+        for flag in ("--help", "-h"):
+            run = subprocess.run([pfsim, flag], capture_output=True,
+                                 text=True)
+            problems = []
+            if run.returncode != 0:
+                problems.append(f"exit {run.returncode}, expected 0")
+            for text in ("usage:", "frame % N"):
+                if text not in run.stdout:
+                    problems.append(f"stdout lacks {text!r}")
+            failures += report(flag, problems)
     return 1 if failures else 0
+
+
+def report(name, problems):
+    verdict = "FAIL" if problems else "ok"
+    print(f"{verdict}: {name}"
+          + (": " + "; ".join(problems) if problems else ""))
+    return bool(problems)
 
 
 if __name__ == "__main__":

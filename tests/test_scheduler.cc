@@ -71,6 +71,15 @@ TEST(KsmScheduler, StickyMigratesButSkews)
     EXPECT_GE(used, 8u);
 }
 
+TEST(KsmScheduler, FullStickinessNeverMoves)
+{
+    EventQueue eq;
+    KsmScheduler sched("s", eq, 4, KsmPlacement::Sticky, 1.0, Rng(5));
+    CoreId first = sched.pickCore();
+    for (int i = 0; i < 50; ++i)
+        EXPECT_EQ(sched.pickCore(), first);
+}
+
 TEST(KsmScheduler, StickyProducesSkewedShares)
 {
     // The Table 4 phenomenon: over a finite window the busiest core

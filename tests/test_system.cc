@@ -82,6 +82,20 @@ TEST(System, KsmAndPageForgeConvergeToSameFootprint)
     EXPECT_EQ(footprints[0], footprints[1]);
 }
 
+TEST(System, KsmWithFullStickinessWarmsUp)
+{
+    // validate() accepts ksmStickiness in [0, 1]; the scheduler must
+    // accept the whole range too.
+    SystemConfig config = tinySystem();
+    config.memScale = 0.05;
+    config.mode = DedupMode::Ksm;
+    config.ksmStickiness = 1.0;
+    config.validate();
+    System system(config, tinyApp());
+    system.deploy();
+    EXPECT_GE(system.warmupDedup(1), 1u);
+}
+
 TEST(System, BaselineHasNoDaemon)
 {
     SystemConfig config = tinySystem();

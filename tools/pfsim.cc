@@ -98,11 +98,13 @@ splitList(const std::string &csv)
     return items;
 }
 
+/** Print the option summary and exit: to stdout with 0 when asked for. */
 [[noreturn]] void
-usage(const char *prog)
+usage(const char *prog, int status = 1)
 {
-    std::cerr
+    (status == 0 ? std::cout : std::cerr)
         << "usage: " << prog << " [options]\n"
+        << "  -h, --help          print this summary and exit\n"
         << "  --app=NAME          img_dnn|masstree|moses|silo|sphinx\n"
         << "  --mode=MODE         baseline|ksm|pageforge\n"
         << "  --scale=X           memory-image scale (default 0.2)\n"
@@ -112,7 +114,7 @@ usage(const char *prog)
         << "  --seed=S            experiment seed (default 42)\n"
         << "  --num-mcs=N         memory controllers / channels "
            "(default 1);\n"
-        << "                      frames interleave frame %% N, one\n"
+        << "                      frames interleave frame % N, one\n"
         << "                      PageForge module per controller\n"
         << "  --vms=N             fleet size: N VMs on N cores\n"
         << "                      (default: the paper's 10; at most 127)\n"
@@ -162,7 +164,7 @@ usage(const char *prog)
            "(default BENCH_simspeed.json)\n"
         << "  --baseline-seconds=X  reference wall-clock for the "
            "report's speedup field\n";
-    std::exit(1);
+    std::exit(status);
 }
 
 /** Flags that only a single run reads; --campaign would drop them. */
@@ -198,7 +200,9 @@ parse(int argc, char **argv)
             return arg.rfind(prefix, 0) == 0 ? arg.c_str() + len
                                              : nullptr;
         };
-        if (const char *v = value("--app=")) {
+        if (arg == "--help" || arg == "-h") {
+            usage(argv[0], 0);
+        } else if (const char *v = value("--app=")) {
             opts.app = v;
         } else if (const char *v = value("--mode=")) {
             std::string mode = v;
