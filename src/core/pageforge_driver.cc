@@ -376,7 +376,7 @@ PageForgeDriver::setupCandidate(Pipeline &p, bool from_inbox)
 {
     p.phase = Phase::Stable;
     p.firstBatch = true;
-    p.stableInsertValid = false;
+    p.stableInsert.reset();
     // The content key decides which shard's trees can hold this page;
     // if that is not the MC homing the frame, the scanning MC hands the
     // candidate across the interconnect. The owner overlay redirects a
@@ -438,9 +438,7 @@ PageForgeDriver::beginPhase(Pipeline &p)
             // point for a later stable insert is the root. Run a
             // hash-completion-only batch so the ECC key still comes
             // from the hardware.
-            p.stableInsertParent = nullptr;
-            p.stableInsertLeft = false;
-            p.stableInsertValid = true;
+            p.stableInsert = ContentTree::SearchResult{};
             buildForcedHashBatch(p);
             return Action::RunBatch;
         }
@@ -452,8 +450,8 @@ PageForgeDriver::beginPhase(Pipeline &p)
     ContentTree::Node *root = unstableShardTree(p).root();
     if (!root) {
         // First unstable page this pass: becomes the tree root.
-        unstableShardTree(p).insertChild(nullptr, false,
-                                         guestHandle(p.candidate));
+        unstableShardTree(p).insertAt(ContentTree::SearchResult{},
+                                      guestHandle(p.candidate));
         chargeDriver(p, _config.treeUpdateCycles);
         return Action::CandidateDone;
     }
@@ -470,9 +468,7 @@ PageForgeDriver::onBatchComplete(Pipeline &p, const PfeInfo &info)
     if (info.duplicate) {
         pf_assert(info.ptr < p.batch.nodes.size(),
                   "Duplicate with Ptr outside the batch");
-        ContentTree::Node *node = p.batch.nodes[info.ptr];
-        return p.phase == Phase::Stable ? handleStableMatch(p, node)
-                                        : handleUnstableMatch(p, node);
+        return commitMatch(p, p.batch.nodes[info.ptr]);
     }
 
     if (isContinueToken(info.ptr)) {
@@ -493,24 +489,49 @@ PageForgeDriver::onBatchComplete(Pipeline &p, const PfeInfo &info)
 }
 
 PageForgeDriver::Action
-PageForgeDriver::handleStableMatch(Pipeline &p, ContentTree::Node *node)
+PageForgeDriver::commitMatch(Pipeline &p, ContentTree::Node *node)
 {
     if (mergeRaced(p))
         return abortMergedRace(p);
 
-    FrameId target = handleFrame(stableShardTree(p).handle(node));
-    if (_hyper.tryMergeIntoFrame(p.candidate, target)) {
-        ++_mergeStats.stableMerges;
-        _shardMerges[p.candidateShard] += 1;
-        chargeDriver(p, _config.mergeCycles);
-        p.falseMatchStreak = 0;
-    } else {
-        // The candidate changed under the scan, or a corrupted key /
-        // table entry steered the hardware to a false match: either
-        // way the full compare refused it; drop it for this pass.
+    // The hypervisor's final compare decides, as it does for ksmd.
+    bool stable = p.phase == Phase::Stable;
+    MergeOutcome outcome = stable
+        ? _hyper.mergeIntoFrame(
+              p.candidate, handleFrame(stableShardTree(p).handle(node)))
+        : _hyper.mergePair(p.candidate,
+                           handleGuest(unstableShardTree(p).handle(node)));
+    if (outcome != MergeOutcome::Merged) {
+        // The pages are gone, the target is poisoned, or the full
+        // compare refuted the hardware match (a racing write or a
+        // corrupted key or table entry): drop it for this pass.
         ++_mergeStats.pagesDropped;
-        noteFalseKeyMatch(p);
+        if (outcome == MergeOutcome::Diverged)
+            noteFalseKeyMatch(p);
+        return Action::CandidateDone;
     }
+    _shardMerges[p.candidateShard] += 1;
+    p.falseMatchStreak = 0;
+    if (stable) {
+        ++_mergeStats.stableMerges;
+        chargeDriver(p, _config.mergeCycles);
+        return Action::CandidateDone;
+    }
+
+    ++_mergeStats.unstableMerges;
+    chargeDriver(p, _config.mergeCycles + 2 * _config.cowProtectCycles +
+                 2 * _config.treeUpdateCycles);
+    unstableShardTree(p).erase(node);
+
+    // Insert the merged page into the stable tree at the position the
+    // hardware's stable search discovered for this very content. The
+    // tree pins the frame.
+    PageHandle merged = frameHandle(
+        _hyper.frameOf(p.candidate.vm, p.candidate.gpn));
+    if (p.stableInsert)
+        stableShardTree(p).insertAt(*p.stableInsert, merged);
+    else
+        stableShardTree(p).insert(merged);
     return Action::CandidateDone;
 }
 
@@ -520,9 +541,9 @@ PageForgeDriver::stableSearchEnded(Pipeline &p, const PfeInfo &info)
     if (isAbsentToken(info.ptr)) {
         unsigned entry = tokenEntry(info.ptr);
         pf_assert(entry < p.batch.nodes.size(), "bad absent token");
-        p.stableInsertParent = p.batch.nodes[entry];
-        p.stableInsertLeft = !tokenMoreSide(info.ptr);
-        p.stableInsertValid = true;
+        p.stableInsert = ContentTree::SearchResult{
+            .parent = p.batch.nodes[entry],
+            .insertLeft = !tokenMoreSide(info.ptr)};
     }
 
     if (!info.hashReady) {
@@ -576,60 +597,15 @@ PageForgeDriver::stableSearchEnded(Pipeline &p, const PfeInfo &info)
 }
 
 PageForgeDriver::Action
-PageForgeDriver::handleUnstableMatch(Pipeline &p, ContentTree::Node *node)
-{
-    if (mergeRaced(p))
-        return abortMergedRace(p);
-
-    PageKey other = handleGuest(unstableShardTree(p).handle(node));
-    FrameId other_frame = _hyper.frameOf(other.vm, other.gpn);
-    FrameId cand_frame = _hyper.frameOf(p.candidate.vm, p.candidate.gpn);
-
-    if (other_frame == invalidFrame || cand_frame == invalidFrame ||
-        other_frame == cand_frame) {
-        ++_mergeStats.pagesDropped;
-        return Action::CandidateDone;
-    }
-    if (!_hyper.memory().framesEqual(cand_frame, other_frame)) {
-        // Hardware said Duplicate; the final software compare says
-        // otherwise — a racing write or a false key match.
-        ++_mergeStats.pagesDropped;
-        noteFalseKeyMatch(p);
-        return Action::CandidateDone;
-    }
-
-    FrameId merged = _hyper.mergePair(p.candidate, other);
-    chargeDriver(p, _config.mergeCycles + 2 * _config.cowProtectCycles +
-                 2 * _config.treeUpdateCycles);
-    ++_mergeStats.unstableMerges;
-    _shardMerges[p.candidateShard] += 1;
-    p.falseMatchStreak = 0;
-
-    unstableShardTree(p).erase(node);
-
-    // Insert the merged page into the stable tree at the position the
-    // hardware's stable search discovered for this very content. The
-    // tree pins the frame.
-    if (p.stableInsertValid) {
-        stableShardTree(p).insertChild(p.stableInsertParent,
-                                       p.stableInsertLeft,
-                                       frameHandle(merged));
-    } else {
-        stableShardTree(p).insert(frameHandle(merged));
-    }
-
-    return Action::CandidateDone;
-}
-
-PageForgeDriver::Action
 PageForgeDriver::unstableSearchEnded(Pipeline &p, const PfeInfo &info)
 {
     if (isAbsentToken(info.ptr)) {
         unsigned entry = tokenEntry(info.ptr);
         pf_assert(entry < p.batch.nodes.size(), "bad absent token");
-        unstableShardTree(p).insertChild(p.batch.nodes[entry],
-                                         !tokenMoreSide(info.ptr),
-                                         guestHandle(p.candidate));
+        unstableShardTree(p).insertAt(
+            {.parent = p.batch.nodes[entry],
+             .insertLeft = !tokenMoreSide(info.ptr)},
+            guestHandle(p.candidate));
     } else {
         // Degenerate: the subtree vanished mid-phase. Fall back to a
         // software insert (rare; the compares are not charged).

@@ -32,6 +32,7 @@
 
 #include <deque>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/pageforge_api.hh"
@@ -269,10 +270,9 @@ class PageForgeDriver : public SimObject
         Tick batchStart = 0; //!< program time of in-flight batch (trace)
         Phase phase = Phase::Stable;
 
-        // Saved stable-tree insertion point for the candidate.
-        ContentTree::Node *stableInsertParent = nullptr;
-        bool stableInsertLeft = false;
-        bool stableInsertValid = false;
+        // Stable-tree insertion point the hardware found for the
+        // candidate (unset when its stable search ended elsewhere).
+        std::optional<ContentTree::SearchResult> stableInsert;
 
         PendingBatch batch;
         std::vector<FrameId> pinnedFrames;
@@ -350,9 +350,14 @@ class PageForgeDriver : public SimObject
     Action beginPhase(Pipeline &p);
     Action onBatchComplete(Pipeline &p, const PfeInfo &info);
     Action stableSearchEnded(Pipeline &p, const PfeInfo &info);
-    Action handleStableMatch(Pipeline &p, ContentTree::Node *node);
-    Action handleUnstableMatch(Pipeline &p, ContentTree::Node *node);
     Action unstableSearchEnded(Pipeline &p, const PfeInfo &info);
+
+    /**
+     * Commit a hardware Duplicate on @p node through the hypervisor's
+     * final compare; on a merge in the unstable phase, move the pair
+     * to the stable tree.
+     */
+    Action commitMatch(Pipeline &p, ContentTree::Node *node);
 
     // ---- fault degradation paths (no-ops while _faults is null) ----
 

@@ -18,6 +18,9 @@ Hypervisor::Hypervisor(std::string name, EventQueue &eq,
                       _softFaults);
     _stats.addCounter("cow_breaks", "copy-on-write un-merges", _cowBreaks);
     _stats.addCounter("merges", "page merge operations", _merges);
+    _stats.addCounter("poisoned_merge_refusals",
+                      "merges refused into a poisoned frame",
+                      _poisonedMergeRefusals);
     _stats.addCounter("vm_clones", "VMs cloned from a template",
                       _vmClones);
     _stats.addCounter("vm_destroys", "VMs torn down", _vmDestroys);
@@ -379,36 +382,38 @@ Hypervisor::mergeCandidate(const PageKey &key)
     return &page;
 }
 
-bool
+MergeOutcome
 Hypervisor::mergeIntoFrame(const PageKey &candidate, FrameId target)
 {
     PageState &page = stateOf(candidate.vm, candidate.gpn);
-    pf_assert(page.mapped, "merging an unmapped page");
-    pf_assert(_mem.isAllocated(target), "merging into a free frame");
+    if (!page.mapped || !_mem.isAllocated(target) || page.frame == target)
+        return MergeOutcome::Gone;
+    // The final compare under write protection (Section 3.5): a write
+    // since the daemon's compare, or a false hardware match, lands here.
+    if (!_mem.framesEqual(page.frame, target))
+        return MergeOutcome::Diverged;
+    // The compare reads may just have poisoned the target. Its current
+    // sharers drain off it on their next write; it gains no new one.
+    if (_mem.isPoisoned(target)) {
+        ++_poisonedMergeRefusals;
+        return MergeOutcome::Poisoned;
+    }
 
-    if (page.frame == target)
-        return false;
-
-    // The shadow oracle inspects the commit independently (and first,
-    // so a violation is counted even though we then refuse to merge).
-    bool equal = true;
+    // The shadow oracle inspects every commit independently.
     if (_oracle) {
         // Frames homing on different controllers mean this commit came
         // through a cross-MC handoff; the oracle tags those checks.
         bool cross_mc =
             page.frame % _mem.numShards() != target % _mem.numShards();
-        equal = _oracle->check(_mem.data(page.frame), _mem.data(target),
-                               cross_mc);
+        if (!_oracle->check(_mem.data(page.frame), _mem.data(target),
+                            cross_mc))
+            panicAt("hypervisor", curTick(),
+                    "merge of non-identical pages (vm %u gpn %llu -> "
+                    "frame %u)",
+                    candidate.vm,
+                    static_cast<unsigned long long>(candidate.gpn),
+                    target);
     }
-
-    // Merging unequal pages would corrupt guest memory; the final
-    // compare under write protection (Section 3.5) guarantees this.
-    if (!equal || !_mem.framesEqual(page.frame, target))
-        panicAt("hypervisor", curTick(),
-                "merge of non-identical pages (vm %u gpn %llu -> "
-                "frame %u)",
-                candidate.vm,
-                static_cast<unsigned long long>(candidate.gpn), target);
 
     FrameId old_frame = page.frame;
     // The cached hash keys were computed from the old private frame;
@@ -432,34 +437,19 @@ Hypervisor::mergeIntoFrame(const PageKey &candidate, FrameId target)
                     {"vm", static_cast<double>(candidate.vm)},
                     {"frame", static_cast<double>(target)});
     maybeAudit("mergeIntoFrame");
-    return true;
+    return MergeOutcome::Merged;
 }
 
-bool
-Hypervisor::tryMergeIntoFrame(const PageKey &candidate, FrameId target)
-{
-    const PageState &page = vm(candidate.vm).page(candidate.gpn);
-    if (!page.mapped || !_mem.isAllocated(target))
-        return false;
-    if (page.frame == target)
-        return false;
-    if (!_mem.framesEqual(page.frame, target))
-        return false;
-    return mergeIntoFrame(candidate, target);
-}
-
-FrameId
+MergeOutcome
 Hypervisor::mergePair(const PageKey &candidate, const PageKey &keeper)
 {
     PageState &keep = stateOf(keeper.vm, keeper.gpn);
-    pf_assert(keep.mapped, "merge keeper is unmapped");
-    _mem.setWriteProtected(keep.frame, true);
-    keep.cow = true;
-
-    bool merged = mergeIntoFrame(candidate, keep.frame);
-    pf_assert(merged || frameOf(candidate.vm, candidate.gpn) == keep.frame,
-              "mergePair failed to share the keeper frame");
-    return keep.frame;
+    if (!keep.mapped)
+        return MergeOutcome::Gone;
+    MergeOutcome outcome = mergeIntoFrame(candidate, keep.frame);
+    if (outcome == MergeOutcome::Merged)
+        keep.cow = true;
+    return outcome;
 }
 
 DupAnalysis

@@ -37,6 +37,15 @@ struct WriteOutcome
     bool cowBroken = false;       //!< a CoW copy was made (un-merge)
 };
 
+/** Why a merge commit did or did not share the target frame. */
+enum class MergeOutcome
+{
+    Merged,   //!< the candidate now maps the target
+    Gone,     //!< candidate unmapped, target free, or already on it
+    Diverged, //!< the final compare found different bytes
+    Poisoned, //!< the target is poisoned and gains no sharer
+};
+
 /** Breakdown of guest pages by mergeability (Figure 7). */
 struct DupAnalysis
 {
@@ -195,36 +204,39 @@ class Hypervisor : public SimObject
     PageState *mergeCandidate(const PageKey &key);
 
     /**
-     * Merge a candidate guest page into an existing (write-protected)
-     * stable frame. The caller must have verified byte equality; this
-     * re-verifies and panics on mismatch, since merging unequal pages
-     * would corrupt guest memory.
+     * Algorithm 1's merge commit (Section 3.5): the final whole-page
+     * compare of @p candidate against @p target under write
+     * protection, then the remap. Both merging daemons commit through
+     * here, so the refusals below hold for both.
      *
-     * @return false when the candidate already maps that frame
+     * @return Gone when the candidate is unmapped, the target is free
+     *         or the candidate already maps it; Diverged when the bytes
+     *         differ; Poisoned (counted) when the target is poisoned;
+     *         otherwise Merged, after the oracle check, the remap and
+     *         the write protection
      */
-    bool mergeIntoFrame(const PageKey &candidate, FrameId target);
-
-    /**
-     * Race-safe variant for asynchronous drivers: re-verifies content
-     * equality (the paper's final comparison before merging) and
-     * declines instead of panicking when the pages diverged since the
-     * hardware comparison.
-     *
-     * @return true when the merge was performed
-     */
-    bool tryMergeIntoFrame(const PageKey &candidate, FrameId target);
+    MergeOutcome mergeIntoFrame(const PageKey &candidate, FrameId target);
 
     /**
      * Merge two unshared guest pages with equal contents: @p keeper 's
      * frame becomes the shared, write-protected frame and @p candidate
-     * is remapped onto it.
+     * is remapped onto it via mergeIntoFrame(). A refused keeper is
+     * left untouched; a poisoned candidate may still drain onto a
+     * healthy keeper.
      *
-     * @return the shared frame
+     * @return Gone for an unmapped keeper, else mergeIntoFrame()'s
+     *         outcome
      */
-    FrameId mergePair(const PageKey &candidate, const PageKey &keeper);
+    MergeOutcome mergePair(const PageKey &candidate, const PageKey &keeper);
 
     /** Total merge operations performed. */
     std::uint64_t merges() const { return _merges.value(); }
+
+    /** Merges refused because the target frame was poisoned. */
+    std::uint64_t poisonedMergeRefusals() const
+    {
+        return _poisonedMergeRefusals.value();
+    }
 
     /** Total CoW breaks (un-merges) performed. */
     std::uint64_t cowBreaks() const { return _cowBreaks.value(); }
@@ -255,6 +267,7 @@ class Hypervisor : public SimObject
     Counter _softFaults;
     Counter _cowBreaks;
     Counter _merges;
+    Counter _poisonedMergeRefusals;
     Counter _vmClones;
     Counter _vmDestroys;
     Counter _framesReclaimed;

@@ -185,15 +185,6 @@ ContentTree::insertAt(const SearchResult &result, PageHandle handle)
 }
 
 ContentTree::Node *
-ContentTree::insertChild(Node *parent, bool left, PageHandle handle)
-{
-    SearchResult result;
-    result.parent = parent;
-    result.insertLeft = left;
-    return insertAt(result, handle);
-}
-
-ContentTree::Node *
 ContentTree::insert(PageHandle handle, const CompareHook &hook)
 {
     const std::uint8_t *data = _accessor.resolve(handle);
@@ -463,18 +454,19 @@ ContentTree::handle(const Node *node) const
 void
 ContentTree::forEach(const std::function<void(PageHandle)> &fn) const
 {
-    // Iterative in-order walk.
-    const Node *cur = _root;
-    const Node *prev = _nil;
-    std::function<void(const Node *)> walk = [&](const Node *node) {
-        if (node == _nil)
-            return;
-        walk(node->left);
-        fn(node->handle);
-        walk(node->right);
-    };
-    (void)prev;
-    walk(cur);
+    // Iterative in-order walk, same rationale as destroySubtree.
+    std::vector<const Node *> stack;
+    const Node *walk = _root;
+    while (walk != _nil || !stack.empty()) {
+        while (walk != _nil) {
+            stack.push_back(walk);
+            walk = walk->left;
+        }
+        walk = stack.back();
+        stack.pop_back();
+        fn(walk->handle);
+        walk = walk->right;
+    }
 }
 
 bool

@@ -117,19 +117,14 @@ class ContentTree
                         const CompareHook &hook = {});
 
     /**
-     * Attach a new node at the position a failed search returned.
-     * @pre result.match == nullptr and the tree has not been modified
-     *      since the search
+     * Attach a new node at the position a failed search returned, or
+     * at one the PageForge driver learned from the hardware traversal
+     * (parent and side only; a null parent is the root of an empty
+     * tree).
+     * @pre result.match == nullptr and the chosen slot is empty
      * @return the new node
      */
     Node *insertAt(const SearchResult &result, PageHandle handle);
-
-    /**
-     * Structural insert below an existing node (used by the PageForge
-     * driver, which learns positions from the hardware traversal).
-     * @pre the chosen child slot of @p parent is empty
-     */
-    Node *insertChild(Node *parent, bool left, PageHandle handle);
 
     /** Search and attach in one step; returns null if a match exists. */
     Node *insert(PageHandle handle, const CompareHook &hook = {});

@@ -216,11 +216,19 @@ Ksmd::scanOne(CoreId core, const PageKey &key, Tick now)
 
     if (stable_res.match) {
         FrameId target = handleFrame(_stable.handle(stable_res.match));
-        if (_hyper.mergeIntoFrame(key, target)) {
-            ++_mergeStats.stableMerges;
-            now += cost.mergeCycles;
-            _cycleStats.otherCycles += cost.mergeCycles;
+        MergeOutcome outcome = _hyper.mergeIntoFrame(key, target);
+        // The search compared these very bytes a moment ago, so only
+        // the poisoning of the target by its compare reads can refuse.
+        pf_assert(outcome == MergeOutcome::Merged ||
+                      outcome == MergeOutcome::Poisoned,
+                  "ksmd stable merge of non-identical pages");
+        if (outcome == MergeOutcome::Poisoned) {
+            ++_mergeStats.pagesDropped;
+            return now;
         }
+        ++_mergeStats.stableMerges;
+        now += cost.mergeCycles;
+        _cycleStats.otherCycles += cost.mergeCycles;
         return now;
     }
 
@@ -257,10 +265,8 @@ Ksmd::scanOne(CoreId core, const PageKey &key, Tick now)
     // both and compare once more under protection (Section 2.1).
     PageKey other = handleGuest(_unstable.handle(unstable_res.match));
     FrameId other_frame = _hyper.frameOf(other.vm, other.gpn);
-    if (other_frame == invalidFrame || other_frame == frame) {
-        ++_mergeStats.pagesDropped;
-        return now;
-    }
+    pf_assert(other_frame != invalidFrame && other_frame != frame,
+              "unstable match resolved to no other frame");
 
     Tick verify_start = now;
     now = fetchLines(core, frame, linesPerPage, now);
@@ -268,34 +274,26 @@ Ksmd::scanOne(CoreId core, const PageKey &key, Tick now)
     now += cost.compareLineCycles * linesPerPage;
     _cycleStats.compareCycles += now - verify_start;
 
-    if (!mem.framesEqual(frame, other_frame)) {
-        // Raced with a write between compare and protect: give up on
-        // this candidate for the pass.
+    if (_hyper.mergePair(key, other) != MergeOutcome::Merged) {
+        // Raced with a write between compare and protect, or the reads
+        // above poisoned the keeper: give up on this candidate for the
+        // pass.
         ++_mergeStats.pagesDropped;
         return now;
     }
-    if (mem.isPoisoned(other_frame)) {
-        // An uncorrectable error on the reads above quarantined the
-        // keeper. framesEqual compared the pristine arena, but a
-        // poisoned frame must not be shared or enter the stable tree.
-        ++_mergeStats.pagesDropped;
-        return now;
-    }
-
-    FrameId merged = _hyper.mergePair(key, other);
     now += cost.mergeCycles + 2 * cost.cowProtectCycles;
     _cycleStats.otherCycles += cost.mergeCycles + 2 * cost.cowProtectCycles;
     ++_mergeStats.unstableMerges;
 
     // The candidate's old frame was just freed by the remap: the
     // compare hook must fetch the merged frame's lines from here on.
-    frame = merged;
+    frame = other_frame;
 
     // Move the page from the unstable to the stable tree
     // (Algorithm 1, lines 16-17).
     _unstable.erase(unstable_res.match);
     phase_start = now;
-    _stable.insert(frameHandle(merged), hook);
+    _stable.insert(frameHandle(frame), hook);
     _cycleStats.compareCycles += now - phase_start;
     now += 2 * cost.treeUpdateCycles;
     _cycleStats.otherCycles += 2 * cost.treeUpdateCycles;

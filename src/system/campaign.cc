@@ -316,6 +316,7 @@ jsonResult(std::ostream &os, const ExperimentResult &r,
            << ",\"uncorrectable_errors\":" << f.uncorrectableErrors
            << ",\"poisoned_frames\":" << f.poisonedFrames
            << ",\"quarantined_frames\":" << f.quarantinedFrames
+           << ",\"poisoned_merge_refusals\":" << f.poisonedMergeRefusals
            << ",\"false_key_matches\":" << f.falseKeyMatches
            << ",\"offset_rotations\":" << f.offsetRotations
            << ",\"merge_aborts\":" << f.mergeAborts

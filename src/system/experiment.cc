@@ -255,6 +255,8 @@ runExperiment(System &system, const ExperimentConfig &cfg)
         }
         sum.poisonedFrames = system.memory().poisonedFrames();
         sum.quarantinedFrames = system.memory().quarantinedFrames();
+        sum.poisonedMergeRefusals =
+            system.hypervisor().poisonedMergeRefusals();
         if (mode == DedupMode::PageForge) {
             PageForgeDriver *driver = system.pfDriver();
             sum.falseKeyMatches = driver->falseKeyMatches();

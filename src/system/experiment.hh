@@ -134,6 +134,7 @@ struct FaultSummary
     // Frame degradation.
     std::uint64_t poisonedFrames = 0;
     std::uint64_t quarantinedFrames = 0;
+    std::uint64_t poisonedMergeRefusals = 0; //!< merges into them refused
 
     // Driver degradation paths (PageForge mode).
     std::uint64_t falseKeyMatches = 0;

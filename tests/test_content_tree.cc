@@ -339,16 +339,18 @@ TEST(ContentTree, InsertReleasesStaleStableNodeItDrops)
     EXPECT_EQ(mem.refCount(b), 3u);
 }
 
-TEST(ContentTree, InsertChildStructural)
+TEST(ContentTree, InsertAtKnownPosition)
 {
+    // The PageForge driver learns positions from the hardware
+    // traversal, not from a search of its own.
     PoolAccessor pool;
     ContentTree tree(pool);
     PageHandle b = pool.addBytes(20);
-    ContentTree::Node *root = tree.insertChild(nullptr, false, b);
+    ContentTree::Node *root = tree.insertAt(ContentTree::SearchResult{}, b);
     ASSERT_NE(root, nullptr);
 
     PageHandle a = pool.addBytes(10);
-    tree.insertChild(root, true, a);
+    tree.insertAt({.parent = root, .insertLeft = true}, a);
     EXPECT_EQ(tree.size(), 2u);
     EXPECT_TRUE(tree.validate());
     EXPECT_NE(tree.search(pool.resolve(a)).match, nullptr);

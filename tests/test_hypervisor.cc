@@ -73,7 +73,9 @@ TEST_F(HypervisorTest, MergePairSharesFrameAndProtects)
     fillPage(vm0, 0, 0x11);
     fillPage(vm1, 5, 0x11);
 
-    FrameId merged = hyper.mergePair(PageKey{vm0, 0}, PageKey{vm1, 5});
+    ASSERT_EQ(hyper.mergePair(PageKey{vm0, 0}, PageKey{vm1, 5}),
+              MergeOutcome::Merged);
+    FrameId merged = hyper.frameOf(vm1, 5);
     EXPECT_EQ(hyper.frameOf(vm0, 0), merged);
     EXPECT_EQ(hyper.frameOf(vm1, 5), merged);
     EXPECT_EQ(mem.refCount(merged), 2u);
@@ -86,7 +88,8 @@ TEST_F(HypervisorTest, WriteToMergedPageBreaksCow)
 {
     fillPage(vm0, 0, 0x22);
     fillPage(vm1, 0, 0x22);
-    FrameId merged = hyper.mergePair(PageKey{vm0, 0}, PageKey{vm1, 0});
+    hyper.mergePair(PageKey{vm0, 0}, PageKey{vm1, 0});
+    FrameId merged = hyper.frameOf(vm1, 0);
 
     std::uint8_t byte = 0x99;
     WriteOutcome outcome = hyper.writeToPage(vm0, 0, 0, &byte, 1);
@@ -105,37 +108,73 @@ TEST_F(HypervisorTest, MergeIntoFrameRemapsCandidate)
 {
     fillPage(vm0, 0, 0x33);
     fillPage(vm1, 1, 0x33);
-    FrameId merged = hyper.mergePair(PageKey{vm0, 0}, PageKey{vm1, 1});
+    hyper.mergePair(PageKey{vm0, 0}, PageKey{vm1, 1});
+    FrameId merged = hyper.frameOf(vm1, 1);
 
     fillPage(vm0, 7, 0x33);
-    EXPECT_TRUE(hyper.mergeIntoFrame(PageKey{vm0, 7}, merged));
+    EXPECT_EQ(hyper.mergeIntoFrame(PageKey{vm0, 7}, merged),
+              MergeOutcome::Merged);
     EXPECT_EQ(hyper.frameOf(vm0, 7), merged);
     EXPECT_EQ(mem.refCount(merged), 3u);
 
     // Merging a page already mapped there is a no-op.
-    EXPECT_FALSE(hyper.mergeIntoFrame(PageKey{vm0, 7}, merged));
+    EXPECT_EQ(hyper.mergeIntoFrame(PageKey{vm0, 7}, merged),
+              MergeOutcome::Gone);
+    EXPECT_EQ(mem.refCount(merged), 3u);
 }
 
-TEST_F(HypervisorTest, MergeOfUnequalPagesPanics)
+TEST_F(HypervisorTest, MergeOfUnequalPagesDeclines)
 {
     fillPage(vm0, 0, 0x44);
     fillPage(vm1, 0, 0x55);
+    FrameId own = hyper.frameOf(vm0, 0);
     FrameId other = hyper.frameOf(vm1, 0);
-    mem.setWriteProtected(other, true);
-    EXPECT_DEATH(hyper.mergeIntoFrame(PageKey{vm0, 0}, other),
-                 "non-identical");
-}
+    EXPECT_EQ(hyper.mergeIntoFrame(PageKey{vm0, 0}, other),
+              MergeOutcome::Diverged);
+    EXPECT_EQ(hyper.mergePair(PageKey{vm0, 0}, PageKey{vm1, 0}),
+              MergeOutcome::Diverged);
 
-TEST_F(HypervisorTest, TryMergeDeclinesGracefully)
-{
-    fillPage(vm0, 0, 0x44);
-    fillPage(vm1, 0, 0x55);
-    FrameId other = hyper.frameOf(vm1, 0);
-    EXPECT_FALSE(hyper.tryMergeIntoFrame(PageKey{vm0, 0}, other));
+    // Nothing was remapped or write-protected.
+    EXPECT_EQ(hyper.frameOf(vm0, 0), own);
+    EXPECT_EQ(hyper.frameOf(vm1, 0), other);
+    EXPECT_FALSE(mem.isWriteProtected(own));
+    EXPECT_FALSE(mem.isWriteProtected(other));
+    EXPECT_EQ(mem.refCount(other), 1u);
+    EXPECT_EQ(hyper.merges(), 0u);
 
     fillPage(vm1, 0, 0x44);
-    EXPECT_TRUE(hyper.tryMergeIntoFrame(PageKey{vm0, 0},
-                                        hyper.frameOf(vm1, 0)));
+    EXPECT_EQ(hyper.mergeIntoFrame(PageKey{vm0, 0},
+                                   hyper.frameOf(vm1, 0)),
+              MergeOutcome::Merged);
+}
+
+TEST_F(HypervisorTest, PoisonedTargetGainsNoSharer)
+{
+    fillPage(vm0, 0, 0x44);
+    fillPage(vm1, 0, 0x44);
+    fillPage(vm1, 1, 0x44);
+    FrameId poisoned = hyper.frameOf(vm1, 0);
+    mem.poisonFrame(poisoned);
+
+    // Neither merge call shares the poisoned frame.
+    EXPECT_EQ(hyper.mergeIntoFrame(PageKey{vm0, 0}, poisoned),
+              MergeOutcome::Poisoned);
+    EXPECT_EQ(hyper.mergePair(PageKey{vm0, 0}, PageKey{vm1, 0}),
+              MergeOutcome::Poisoned);
+    EXPECT_EQ(mem.refCount(poisoned), 1u);
+    EXPECT_FALSE(mem.isWriteProtected(poisoned));
+    EXPECT_FALSE(hyper.vm(vm1).page(0).cow);
+    EXPECT_NE(hyper.frameOf(vm0, 0), poisoned);
+    EXPECT_EQ(hyper.poisonedMergeRefusals(), 2u);
+    EXPECT_EQ(hyper.merges(), 0u);
+
+    // The poisoned page may still drain onto a healthy keeper.
+    FrameId keeper = hyper.frameOf(vm1, 1);
+    EXPECT_EQ(hyper.mergePair(PageKey{vm1, 0}, PageKey{vm1, 1}),
+              MergeOutcome::Merged);
+    EXPECT_EQ(hyper.frameOf(vm1, 0), keeper);
+    EXPECT_EQ(mem.refCount(keeper), 2u);
+    EXPECT_EQ(hyper.poisonedMergeRefusals(), 2u);
 }
 
 TEST_F(HypervisorTest, MadviseMarksRange)
@@ -185,7 +224,8 @@ TEST_F(HypervisorTest, CowBreakOnLastSharerLeavesOneCopy)
 {
     fillPage(vm0, 0, 0x88);
     fillPage(vm1, 0, 0x88);
-    FrameId merged = hyper.mergePair(PageKey{vm0, 0}, PageKey{vm1, 0});
+    hyper.mergePair(PageKey{vm0, 0}, PageKey{vm1, 0});
+    FrameId merged = hyper.frameOf(vm1, 0);
 
     std::uint8_t byte = 1;
     hyper.writeToPage(vm0, 0, 0, &byte, 1);
@@ -240,7 +280,7 @@ TEST(HypervisorPropertyTest, MappedPagesMatchGuestWritesUnderChurn)
         std::memcpy(shadow[vm][gpn].data() + offset, buf.data(), len);
     };
 
-    for (int step = 0; step < 600; ++step) {
+    for (int step = 0; step < 2000; ++step) {
         VmId vm = vms[rng.nextBounded(numVms)];
         GuestPageNum gpn =
             static_cast<GuestPageNum>(rng.nextBounded(pagesPerVm));
@@ -257,14 +297,18 @@ TEST(HypervisorPropertyTest, MappedPagesMatchGuestWritesUnderChurn)
             FrameId fa = hyper.frameOf(vm, gpn);
             FrameId fb = hyper.frameOf(vm2, gpn2);
             if (fa != invalidFrame && fb != invalidFrame && fa != fb &&
-                !mem.isPoisoned(fa) && !mem.isPoisoned(fb) &&
                 shadow[vm][gpn] == shadow[vm2][gpn2]) {
-                if (mem.refCount(fb) > 1 || mem.isWriteProtected(fb)) {
-                    hyper.tryMergeIntoFrame(PageKey{vm, gpn}, fb);
+                std::uint32_t refs = mem.refCount(fb);
+                if (refs > 1 || mem.isWriteProtected(fb)) {
+                    hyper.mergeIntoFrame(PageKey{vm, gpn}, fb);
                 } else if (mem.refCount(fa) == 1 &&
                            !mem.isWriteProtected(fa)) {
                     hyper.mergePair(PageKey{vm, gpn},
                                     PageKey{vm2, gpn2});
+                }
+                // A poisoned target never gains a sharer.
+                if (mem.isPoisoned(fb)) {
+                    ASSERT_LE(mem.refCount(fb), refs) << "step " << step;
                 }
             }
             break;
@@ -298,6 +342,7 @@ TEST(HypervisorPropertyTest, MappedPagesMatchGuestWritesUnderChurn)
     EXPECT_GT(hyper.merges(), 0u);
     EXPECT_GT(hyper.cowBreaks(), 0u);
     EXPECT_GT(mem.poisonedFrames(), 0u);
+    EXPECT_GT(hyper.poisonedMergeRefusals(), 0u);
 }
 
 } // namespace

@@ -189,6 +189,41 @@ TEST_F(KsmdTest, PoisonedUnstableKeeperIsDroppedNotMerged)
     EXPECT_GE(ksmd->mergeStats().pagesDropped, 1u);
 }
 
+TEST_F(KsmdTest, PoisonedStableMatchIsDroppedNotMerged)
+{
+    VmId vm0 = makeVm(1);
+    VmId vm1 = makeVm(1);
+    VmId vm2 = makeVm(1);
+    fillSeeded(vm0, 0, 5);
+    fillSeeded(vm1, 0, 5);
+    fillSeeded(vm2, 0, 6);
+
+    // Uncached compares: every compared line comes from DRAM.
+    KsmConfig config;
+    config.bypassCaches = true;
+    auto ksmd = makeKsmd(config);
+    ksmd->runOnePassNow();
+    ksmd->runOnePassNow();
+    FrameId stable = hyper.frameOf(vm0, 0);
+    ASSERT_EQ(hyper.frameOf(vm1, 0), stable);
+    ASSERT_EQ(hyper.merges(), 1u);
+
+    // A third copy appears. Its stable-tree compare reads the stable
+    // frame's last line, and the double-bit flip poisons the frame
+    // while the arena copy still compares equal.
+    fillSeeded(vm2, 0, 5);
+    Addr addr = lineAddr(stable, linesPerPage - 1);
+    mc.injectBitFlip(addr, 3);
+    mc.injectBitFlip(addr, 60);
+    ksmd->runOnePassNow();
+
+    EXPECT_TRUE(mem.isPoisoned(stable));
+    EXPECT_EQ(hyper.merges(), 1u);
+    EXPECT_NE(hyper.frameOf(vm2, 0), stable);
+    EXPECT_EQ(ksmd->mergeStats().stableMerges, 0u);
+    EXPECT_EQ(hyper.poisonedMergeRefusals(), 1u);
+}
+
 TEST_F(KsmdTest, EventModeOccupiesCoresAndMerges)
 {
     VmId vm0 = makeVm(8);

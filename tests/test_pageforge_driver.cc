@@ -284,6 +284,33 @@ TEST_F(PageForgeDriverTest, CowDuringScanIsHandledSafely)
     EXPECT_NE(hyper.frameOf(vm0, 1), hyper.frameOf(vm1, 1));
 }
 
+TEST_F(PageForgeDriverTest, PoisonedUnstableKeeperIsDroppedNotMerged)
+{
+    VmId vm0 = makeVm(1);
+    VmId vm1 = makeVm(1);
+    fillSeeded(vm0, 0, 5);
+    fillSeeded(vm1, 0, 5);
+
+    auto driver = makeDriver();
+    driver->runOnePassNow(); // first scan: hash gate drops all
+
+    // Pass 2 inserts vm0's page into the unstable tree and then
+    // matches vm1's twin against it. The module's compare reads the
+    // keeper's last line from DRAM, and the double-bit flip poisons
+    // the frame while the arena copy still compares equal.
+    FrameId keeper = hyper.frameOf(vm0, 0);
+    Addr addr = lineAddr(keeper, linesPerPage - 1);
+    mc.injectBitFlip(addr, 3);
+    mc.injectBitFlip(addr, 60);
+    driver->runOnePassNow();
+
+    EXPECT_TRUE(mem.isPoisoned(keeper));
+    EXPECT_EQ(hyper.merges(), 0u);
+    EXPECT_NE(hyper.frameOf(vm1, 0), keeper);
+    EXPECT_EQ(driver->mergeStats().unstableMerges, 0u);
+    EXPECT_EQ(hyper.poisonedMergeRefusals(), 1u);
+}
+
 TEST_F(PageForgeDriverTest, ZeroPagesCollapseToOneFrame)
 {
     VmId vm0 = makeVm(5);

@@ -628,6 +628,8 @@ main(int argc, char **argv)
         table.addRow({"poisoned frames", std::to_string(f.poisonedFrames)});
         table.addRow({"quarantined frames",
                       std::to_string(f.quarantinedFrames)});
+        table.addRow({"poisoned merge refusals",
+                      std::to_string(f.poisonedMergeRefusals)});
         if (opts.mode == DedupMode::PageForge) {
             table.addRow({"false key matches",
                           std::to_string(f.falseKeyMatches)});
@@ -686,6 +688,7 @@ main(int argc, char **argv)
                   << " uncorrectable=" << f.uncorrectableErrors
                   << " poisoned=" << f.poisonedFrames
                   << " quarantined=" << f.quarantinedFrames
+                  << " poisoned_merge_refusals=" << f.poisonedMergeRefusals
                   << " race_writes=" << f.raceWrites
                   << " merge_aborts=" << f.mergeAborts
                   << " mc_wedges=" << f.mcWedgesInjected
