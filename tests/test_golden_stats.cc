@@ -177,7 +177,7 @@ TEST(GoldenStats, FaultedPageForgeCellMatchesGoldenSnapshot)
     ExperimentResult r = runGoldenCell(DedupMode::PageForge,
                                        {.churn = true, .faults = faults});
     EXPECT_EQ(r.queries, 69u);
-    EXPECT_EQ(r.merges, 21u);
+    EXPECT_EQ(r.merges, 20u);
     EXPECT_EQ(r.cowBreaks, 140u);
     EXPECT_EQ(r.dup.framesUsed, 218u);
     EXPECT_EQ(r.simEvents, 3088u);
@@ -187,9 +187,10 @@ TEST(GoldenStats, FaultedPageForgeCellMatchesGoldenSnapshot)
     EXPECT_EQ(r.faults.correctedErrors, 26u);
     EXPECT_EQ(r.faults.uncorrectableErrors, 11u);
     EXPECT_EQ(r.faults.poisonedFrames, 10u);
+    EXPECT_EQ(r.faults.poisonedMergeRefusals, 1u);
     EXPECT_EQ(r.faults.raceWrites, 2u);
     EXPECT_EQ(r.faults.mergeAborts, 2u);
-    EXPECT_EQ(r.faults.oracleChecks, 65u);
+    EXPECT_EQ(r.faults.oracleChecks, 64u);
     EXPECT_EQ(r.faults.oracleViolations, 0u);
 }
 
