@@ -141,11 +141,22 @@ TEST_F(HypervisorTest, MergeOfUnequalPagesDeclines)
     EXPECT_FALSE(mem.isWriteProtected(other));
     EXPECT_EQ(mem.refCount(other), 1u);
     EXPECT_EQ(hyper.merges(), 0u);
+}
 
+TEST_F(HypervisorTest, TryMergeDeclinesGracefully)
+{
+    fillPage(vm0, 0, 0x44);
+    fillPage(vm1, 0, 0x55);
+    FrameId other = hyper.frameOf(vm1, 0);
+    EXPECT_EQ(hyper.mergeIntoFrame(PageKey{vm0, 0}, other),
+              MergeOutcome::Diverged);
+
+    // Once the contents agree the same call merges.
     fillPage(vm1, 0, 0x44);
     EXPECT_EQ(hyper.mergeIntoFrame(PageKey{vm0, 0},
                                    hyper.frameOf(vm1, 0)),
               MergeOutcome::Merged);
+    EXPECT_EQ(hyper.frameOf(vm0, 0), hyper.frameOf(vm1, 0));
 }
 
 TEST_F(HypervisorTest, PoisonedTargetGainsNoSharer)
