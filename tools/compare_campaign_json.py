@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
 """Diff two campaign JSON reports, ignoring host-side timing fields.
 
-Usage: compare_campaign_json.py A.json B.json
+Usage: compare_campaign_json.py OLD.json NEW.json
 
 The simulator's contract is that modelled results are a pure function
 of the configuration and seed — never of the host: not its wall-clock,
-its load, or the number of campaign workers. This script enforces that
-contract: two campaigns of the same configuration must produce
-byte-equal reports once the host-measurement fields are stripped. The
-worker count itself (`jobs`) is stripped too, so CI diffs a `--jobs=1`
-campaign against a `--jobs=4` one, and a refactor can diff its
-campaign against the parent commit's.
+its load, or the number of campaign workers. Two campaigns of the same
+configuration must produce equal reports once the host-measurement
+fields are stripped. The worker count itself (`jobs`) is stripped too,
+so a `--jobs=4` campaign can be diffed against the `--jobs=1` golden
+corpus in tests/golden/.
+
+On a difference it prints every differing leaf as `path: old -> new`,
+which is also the table a corpus re-baseline records in CHANGES.md.
+Cells are named by app/mode/seed in the path.
 
 Exit status: 0 identical, 1 different, 2 usage/IO error.
 """
@@ -32,6 +35,8 @@ HOST_FIELDS = frozenset({
     "speedup",
 })
 
+ABSENT = object()
+
 
 def strip(obj):
     if isinstance(obj, dict):
@@ -42,36 +47,31 @@ def strip(obj):
     return obj
 
 
-def describe_diff(a, b, path="$"):
-    """Print the first few places the stripped reports disagree."""
-    if type(a) is not type(b):
-        print(f"  {path}: type {type(a).__name__} vs "
-              f"{type(b).__name__}")
-        return 1
-    if isinstance(a, dict):
-        count = 0
-        for key in sorted(set(a) | set(b)):
-            if key not in a or key not in b:
-                print(f"  {path}.{key}: present in only one report")
-                count += 1
-            elif a[key] != b[key]:
-                count += describe_diff(a[key], b[key], f"{path}.{key}")
-            if count >= 10:
-                break
-        return count
-    if isinstance(a, list):
-        if len(a) != len(b):
-            print(f"  {path}: length {len(a)} vs {len(b)}")
-            return 1
-        count = 0
-        for i, (x, y) in enumerate(zip(a, b)):
-            if x != y:
-                count += describe_diff(x, y, f"{path}[{i}]")
-            if count >= 10:
-                break
-        return count
-    print(f"  {path}: {a!r} vs {b!r}")
-    return 1
+def label(item, index):
+    """A cell's app/mode/seed, else the list index."""
+    if isinstance(item, dict) and "app" in item and "mode" in item:
+        return f"{item['app']}/{item['mode']}/{item.get('seed')}"
+    return str(index)
+
+
+def show(value):
+    return "(absent)" if value is ABSENT else json.dumps(value)
+
+
+def differences(old, new, path="$"):
+    """Yield `path: old -> new` for every leaf where the reports differ."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in list(old) + [k for k in new if k not in old]:
+            yield from differences(old.get(key, ABSENT),
+                                   new.get(key, ABSENT), f"{path}.{key}")
+    elif isinstance(old, list) and isinstance(new, list):
+        for i in range(max(len(old), len(new))):
+            x = old[i] if i < len(old) else ABSENT
+            y = new[i] if i < len(new) else ABSENT
+            name = label(x if x is not ABSENT else y, i)
+            yield from differences(x, y, f"{path}[{name}]")
+    elif old != new or type(old) is not type(new):
+        yield f"{path}: {show(old)} -> {show(new)}"
 
 
 def main(argv):
@@ -88,12 +88,14 @@ def main(argv):
                   file=sys.stderr)
             sys.exit(2)
 
-    if reports[0] == reports[1]:
+    lines = list(differences(*reports))
+    if not lines:
         print("IDENTICAL (host fields stripped)")
         sys.exit(0)
-
-    print("DIFFER: modelled results depend on something host-side")
-    describe_diff(reports[0], reports[1])
+    print(f"DIFFER: {len(lines)} fields, old -> new "
+          "(host fields stripped)")
+    for line in lines:
+        print(f"  {line}")
     sys.exit(1)
 
 
