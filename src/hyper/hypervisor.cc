@@ -51,22 +51,34 @@ Hypervisor::cloneVm(std::string vm_name, VmId source)
         PageState &from = src.page(gpn);
         if (!from.mapped)
             continue;
+        PageState &to = dst.page(gpn);
+        to.mapped = true;
+        to.mergeable = from.mergeable;
+        if (_mem.isPoisoned(from.frame)) {
+            // A quarantined frame gains no sharer.
+            to.frame = copyFrame(from.frame);
+            continue;
+        }
         // Share the template frame copy-on-write, exactly like a
         // merge: both sides fault a private copy on their next write.
         _mem.setWriteProtected(from.frame, true);
         _mem.addRef(from.frame);
         from.cow = true;
-
-        PageState &to = dst.page(gpn);
         to.frame = from.frame;
-        to.mapped = true;
         to.cow = true;
-        to.mergeable = from.mergeable;
     }
 
     ++_vmClones;
     maybeAudit("cloneVm");
     return id;
+}
+
+FrameId
+Hypervisor::copyFrame(FrameId source)
+{
+    FrameId copy = _mem.allocFrame(false);
+    std::memcpy(_mem.data(copy), _mem.data(source), pageSize);
+    return copy;
 }
 
 void
@@ -307,8 +319,7 @@ Hypervisor::writeToPage(VmId vm_id, GuestPageNum gpn,
         // migrate guests off poisoned frames, draining them toward
         // full quarantine.
         FrameId source = page.frame;
-        FrameId copy = _mem.allocFrame(false);
-        std::memcpy(_mem.data(copy), _mem.data(source), pageSize);
+        FrameId copy = copyFrame(source);
         _mem.decRef(source);
         page.frame = copy;
         page.cow = false;

@@ -98,7 +98,8 @@ class Hypervisor : public SimObject
      * Clone a VM from a template: the clone's guest pages share the
      * template's frames copy-on-write, so every mapped page starts out
      * byte-identical (and instantly mergeable where the template page
-     * was advised mergeable).
+     * was advised mergeable). A poisoned template frame gains no
+     * sharer: the clone gets a private copy of it instead.
      */
     VmId cloneVm(std::string vm_name, VmId source);
 
@@ -253,6 +254,9 @@ class Hypervisor : public SimObject
     StatGroup &stats() { return _stats; }
 
   private:
+    /** A fresh frame holding a copy of @p source's bytes. */
+    FrameId copyFrame(FrameId source);
+
     PhysicalMemory &_mem;
     std::vector<std::unique_ptr<VirtualMachine>> _vms;
 

@@ -188,6 +188,32 @@ TEST_F(HypervisorTest, PoisonedTargetGainsNoSharer)
     EXPECT_EQ(hyper.poisonedMergeRefusals(), 2u);
 }
 
+TEST_F(HypervisorTest, CloneDoesNotSharePoisonedFrames)
+{
+    fillPage(vm0, 0, 0x5a);
+    fillPage(vm0, 1, 0x5b);
+    FrameId poisoned = hyper.frameOf(vm0, 0);
+    FrameId healthy = hyper.frameOf(vm0, 1);
+    mem.poisonFrame(poisoned);
+
+    VmId clone = hyper.cloneVm("clone", vm0);
+
+    // The poisoned frame gains no sharer: the clone gets a private
+    // copy of its content, as a CoW break would.
+    EXPECT_EQ(mem.refCount(poisoned), 1u);
+    FrameId copy = hyper.frameOf(clone, 0);
+    EXPECT_NE(copy, poisoned);
+    EXPECT_FALSE(mem.isPoisoned(copy));
+    EXPECT_TRUE(mem.framesEqual(copy, poisoned));
+    EXPECT_FALSE(hyper.vm(clone).page(0).cow);
+
+    // Healthy frames are still shared copy-on-write.
+    EXPECT_EQ(hyper.frameOf(clone, 1), healthy);
+    EXPECT_EQ(mem.refCount(healthy), 2u);
+    EXPECT_TRUE(hyper.vm(clone).page(1).cow);
+    EXPECT_TRUE(hyper.vm(vm0).page(1).cow);
+}
+
 TEST_F(HypervisorTest, MadviseMarksRange)
 {
     hyper.markMergeable(vm0, 2, 3);
