@@ -61,7 +61,6 @@ Hypervisor::cloneVm(std::string vm_name, VmId source)
         }
         // Share the template frame copy-on-write, exactly like a
         // merge: both sides fault a private copy on their next write.
-        _mem.setWriteProtected(from.frame, true);
         _mem.addRef(from.frame);
         from.cow = true;
         to.frame = from.frame;
@@ -432,7 +431,6 @@ Hypervisor::mergeIntoFrame(const PageKey &candidate, FrameId target)
     // the target, so re-point the cache instead of dropping it.
     bool hashes_current = page.hashFrame == old_frame &&
         page.hashGen == _mem.writeGen(old_frame);
-    _mem.setWriteProtected(target, true);
     _mem.addRef(target);
     _mem.decRef(old_frame);
     page.frame = target;

@@ -89,7 +89,6 @@ PhysicalMemory::allocFrame(bool zero)
         std::memset(framePtr(id), 0, pageSize);
     meta.refs = 1;
     meta.allocated = true;
-    meta.writeProtected = false;
     meta.everUsed = true;
     // New content: invalidate every outstanding generation sample.
     ++_writeGen[id];
@@ -117,7 +116,6 @@ PhysicalMemory::decRef(FrameId frame)
         return false;
 
     f.allocated = false;
-    f.writeProtected = false;
     if (f.poisoned)
         ++_quarantined; // withdrawn for good: never back on the free list
     else
@@ -173,18 +171,6 @@ PhysicalMemory::data(FrameId frame) const
     pf_assert(frameAt(frame).allocated, "data access to free frame %u",
               frame);
     return framePtr(frame);
-}
-
-void
-PhysicalMemory::setWriteProtected(FrameId frame, bool wp)
-{
-    frameAt(frame).writeProtected = wp;
-}
-
-bool
-PhysicalMemory::isWriteProtected(FrameId frame) const
-{
-    return frameAt(frame).writeProtected;
 }
 
 void

@@ -156,12 +156,6 @@ class PhysicalMemory
         return _writeGen[frame];
     }
 
-    /** Mark a frame read-only (CoW protection after merging). */
-    void setWriteProtected(FrameId frame, bool wp);
-
-    /** True when the frame is CoW-protected. */
-    bool isWriteProtected(FrameId frame) const;
-
     /** Byte-exact comparison of two frames' contents. */
     bool framesEqual(FrameId a, FrameId b) const;
 
@@ -200,7 +194,6 @@ class PhysicalMemory
     {
         std::uint32_t refs = 0;
         bool allocated = false;
-        bool writeProtected = false;
         bool everUsed = false; //!< handed out at least once since boot
         bool poisoned = false; //!< quarantined by an uncorrectable error
     };

@@ -79,7 +79,8 @@ TEST_F(HypervisorTest, MergePairSharesFrameAndProtects)
     EXPECT_EQ(hyper.frameOf(vm0, 0), merged);
     EXPECT_EQ(hyper.frameOf(vm1, 5), merged);
     EXPECT_EQ(mem.refCount(merged), 2u);
-    EXPECT_TRUE(mem.isWriteProtected(merged));
+    EXPECT_TRUE(hyper.vm(vm0).page(0).cow);
+    EXPECT_TRUE(hyper.vm(vm1).page(5).cow);
     EXPECT_EQ(hyper.merges(), 1u);
     EXPECT_EQ(mem.framesInUse(), 1u);
 }
@@ -134,11 +135,11 @@ TEST_F(HypervisorTest, MergeOfUnequalPagesDeclines)
     EXPECT_EQ(hyper.mergePair(PageKey{vm0, 0}, PageKey{vm1, 0}),
               MergeOutcome::Diverged);
 
-    // Nothing was remapped or write-protected.
+    // Nothing was remapped or made copy-on-write.
     EXPECT_EQ(hyper.frameOf(vm0, 0), own);
     EXPECT_EQ(hyper.frameOf(vm1, 0), other);
-    EXPECT_FALSE(mem.isWriteProtected(own));
-    EXPECT_FALSE(mem.isWriteProtected(other));
+    EXPECT_FALSE(hyper.vm(vm0).page(0).cow);
+    EXPECT_FALSE(hyper.vm(vm1).page(0).cow);
     EXPECT_EQ(mem.refCount(other), 1u);
     EXPECT_EQ(hyper.merges(), 0u);
 }
@@ -173,7 +174,7 @@ TEST_F(HypervisorTest, PoisonedTargetGainsNoSharer)
     EXPECT_EQ(hyper.mergePair(PageKey{vm0, 0}, PageKey{vm1, 0}),
               MergeOutcome::Poisoned);
     EXPECT_EQ(mem.refCount(poisoned), 1u);
-    EXPECT_FALSE(mem.isWriteProtected(poisoned));
+    EXPECT_FALSE(hyper.vm(vm0).page(0).cow);
     EXPECT_FALSE(hyper.vm(vm1).page(0).cow);
     EXPECT_NE(hyper.frameOf(vm0, 0), poisoned);
     EXPECT_EQ(hyper.poisonedMergeRefusals(), 2u);
@@ -336,10 +337,10 @@ TEST(HypervisorPropertyTest, MappedPagesMatchGuestWritesUnderChurn)
             if (fa != invalidFrame && fb != invalidFrame && fa != fb &&
                 shadow[vm][gpn] == shadow[vm2][gpn2]) {
                 std::uint32_t refs = mem.refCount(fb);
-                if (refs > 1 || mem.isWriteProtected(fb)) {
+                if (refs > 1 || hyper.vm(vm2).page(gpn2).cow) {
                     hyper.mergeIntoFrame(PageKey{vm, gpn}, fb);
                 } else if (mem.refCount(fa) == 1 &&
-                           !mem.isWriteProtected(fa)) {
+                           !hyper.vm(vm).page(gpn).cow) {
                     hyper.mergePair(PageKey{vm, gpn},
                                     PageKey{vm2, gpn2});
                 }

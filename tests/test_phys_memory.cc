@@ -95,20 +95,6 @@ TEST(PhysicalMemory, NonZeroedAllocSkipsMemset)
     EXPECT_TRUE(mem.isAllocated(again));
 }
 
-TEST(PhysicalMemory, WriteProtection)
-{
-    PhysicalMemory mem(2);
-    FrameId frame = mem.allocFrame();
-    EXPECT_FALSE(mem.isWriteProtected(frame));
-    mem.setWriteProtected(frame, true);
-    EXPECT_TRUE(mem.isWriteProtected(frame));
-
-    // Protection clears on free/realloc.
-    mem.decRef(frame);
-    FrameId again = mem.allocFrame();
-    EXPECT_FALSE(mem.isWriteProtected(again));
-}
-
 TEST(PhysicalMemory, PeakTracksHighWater)
 {
     PhysicalMemory mem(8);
