@@ -66,7 +66,7 @@ def flag_value(flags, name, default=None):
 
 def fault_classes(spec, mode, num_mcs):
     """Counters that must be nonzero in a cell of this mode."""
-    keys = {item.split("=")[0] for item in spec.split(",")} if spec else set()
+    keys = {item.split("=")[0] for item in (spec or "").split(",")}
     classes = dict(EVERY_MODE_CLASSES)
     if mode == "PageForge":
         classes.update(PAGEFORGE_CLASSES)
@@ -89,7 +89,8 @@ def check(name, flags, report):
         faults = result.get("faults")
         if faults is not None:
             if faults["oracle_violations"]:
-                yield f"{where}: oracle_violations {faults['oracle_violations']}"
+                yield (f"{where}: oracle_violations "
+                       f"{faults['oracle_violations']}")
             for counter in fault_classes(spec, cell["mode"], num_mcs):
                 if not faults[counter]:
                     yield f"{where}: injected class {counter} never fired"

@@ -70,7 +70,7 @@ def differences(old, new, path="$"):
             y = new[i] if i < len(new) else ABSENT
             name = label(x if x is not ABSENT else y, i)
             yield from differences(x, y, f"{path}[{name}]")
-    elif old != new or type(old) is not type(new):
+    elif old != new:
         yield f"{path}: {show(old)} -> {show(new)}"
 
 
