@@ -131,10 +131,10 @@ inline void
 cellProgress(const CellOutcome &outcome, std::size_t done,
              std::size_t total)
 {
-    progress("[" + std::to_string(done) + "/" + std::to_string(total) +
-             "] " + outcome.cell.app + " / " +
-             dedupModeName(outcome.cell.mode) +
-             (outcome.ok ? "" : ": " + outcome.error));
+    std::fprintf(stderr, "[bench] [%zu/%zu] %s / %s%s%s\n", done, total,
+                 outcome.cell.app.c_str(),
+                 dedupModeName(outcome.cell.mode), outcome.ok ? "" : ": ",
+                 outcome.error.c_str());
 }
 
 /** Run one experiment with a progress note. */

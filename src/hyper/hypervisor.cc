@@ -236,6 +236,21 @@ Hypervisor::auditFrames() const
     if (!report.ok)
         return report;
 
+    // A poisoned frame gains no sharer: its guest mappings never
+    // exceed its refcount when it was poisoned. (Compare mappings,
+    // not refs: refs also count the daemons' pins.)
+    for (const auto &[frame, refs] : _mem.poisonedRefs()) {
+        auto it = mappings.find(frame);
+        if (it != mappings.end() && it->second > refs) {
+            report.ok = false;
+            report.problem = "poisoned frame " + std::to_string(frame) +
+                " gained a sharer: mappings " +
+                std::to_string(it->second) + " > refs when poisoned " +
+                std::to_string(refs);
+            return report;
+        }
+    }
+
     std::uint64_t pins = 0;
     for (const auto &[token, fn] : _pinProviders)
         pins += fn();

@@ -46,7 +46,7 @@ PhysicalMemory::PhysicalMemory(std::size_t total_frames,
     _stats.addStat("peak_in_use", "high-water mark of allocated frames",
                    [this] { return static_cast<double>(_peakInUse); });
     _stats.addStat("poisoned", "frames poisoned by uncorrectable errors",
-                   [this] { return static_cast<double>(_poisoned); });
+                   [this] { return static_cast<double>(poisonedFrames()); });
     _stats.addStat("quarantined", "poisoned frames withdrawn for good",
                    [this] { return static_cast<double>(_quarantined); });
 }
@@ -132,7 +132,7 @@ PhysicalMemory::poisonFrame(FrameId frame)
     if (f.poisoned)
         return false;
     f.poisoned = true;
-    ++_poisoned;
+    _poisonedRefs.emplace(frame, f.allocated ? f.refs : 0);
     if (!f.allocated) {
         // The frame is sitting on the free list: pull it out so it is
         // never handed out again.

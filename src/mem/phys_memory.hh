@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -119,7 +120,19 @@ class PhysicalMemory
     }
 
     /** Frames ever poisoned (allocated or not). */
-    std::size_t poisonedFrames() const { return _poisoned; }
+    std::size_t poisonedFrames() const { return _poisonedRefs.size(); }
+
+    /**
+     * Every poisoned frame with its refcount when it was poisoned (0
+     * if it was free). A quarantined frame gains no sharer, so its
+     * guest mappings never exceed that count; Hypervisor::auditFrames()
+     * checks this. Empty unless a frame was poisoned.
+     */
+    const std::map<FrameId, std::uint32_t> &
+    poisonedRefs() const
+    {
+        return _poisonedRefs;
+    }
 
     /**
      * Poisoned frames fully withdrawn from the allocator (no longer
@@ -205,7 +218,7 @@ class PhysicalMemory
     std::vector<FrameId> _freeList;
     std::size_t _inUse = 0;
     std::size_t _peakInUse = 0;
-    std::size_t _poisoned = 0;
+    std::map<FrameId, std::uint32_t> _poisonedRefs;
     std::size_t _quarantined = 0;
 
     Counter _allocs;

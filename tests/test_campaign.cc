@@ -11,6 +11,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "golden_small.hh"
 #include "prof/profiler.hh"
 #include "sim/logging.hh"
 #include "system/campaign.hh"
@@ -19,32 +20,6 @@ namespace pageforge
 {
 namespace
 {
-
-/** Tiny, fast experiment setup shared by the real-simulation tests. */
-ExperimentConfig
-tinyConfig()
-{
-    ExperimentConfig cfg;
-    cfg.memScale = 0.03;
-    cfg.warmupPasses = 2;
-    cfg.settleTime = msToTicks(2);
-    cfg.targetQueries = 50;
-    cfg.minMeasure = msToTicks(10);
-    cfg.maxMeasure = msToTicks(20);
-    return cfg;
-}
-
-SystemConfig
-tinySystem()
-{
-    SystemConfig sys;
-    sys.numCores = 2;
-    sys.numVms = 2;
-    sys.l1 = CacheConfig{"l1", 4 * 1024, 2, 2, 4};
-    sys.l2 = CacheConfig{"l2", 16 * 1024, 4, 6, 8};
-    sys.l3 = CacheConfig{"l3", 128 * 1024, 16, 20, 16};
-    return sys;
-}
 
 /** Cheap fake runner: deterministic result derived from the cell. */
 ExperimentResult
@@ -90,8 +65,8 @@ TEST(CampaignRunTest, ParallelMatchesSerialBitForBit)
 {
     CampaignSpec spec;
     spec.apps = {"masstree", "silo"};
-    spec.experiment = tinyConfig();
-    spec.sysTemplate = tinySystem();
+    spec.experiment = goldenSmallExperiment();
+    spec.sysTemplate = goldenSmallSystem();
     spec.numSeeds = 1;
 
     spec.jobs = 1;
@@ -126,8 +101,8 @@ TEST(CampaignRunTest, SeedsProduceDistinctIndependentCells)
     spec.apps = {"masstree"};
     spec.modes = {DedupMode::PageForge};
     spec.numSeeds = 2;
-    spec.experiment = tinyConfig();
-    spec.sysTemplate = tinySystem();
+    spec.experiment = goldenSmallExperiment();
+    spec.sysTemplate = goldenSmallSystem();
     spec.jobs = 2;
 
     CampaignReport report = runCampaign(spec);

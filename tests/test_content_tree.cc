@@ -4,6 +4,7 @@
  */
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -111,8 +112,8 @@ TEST(ComparePages, MatchesMemcmpOracleOnRandomPages)
     // targeted single-byte flips cover first/last bytes and word-width
     // boundaries the vectorized implementation could get wrong.
     Rng rng(99);
-    std::vector<std::uint8_t> a(pageSize);
-    std::vector<std::uint8_t> b(pageSize);
+    std::array<std::uint8_t, pageSize> a{};
+    std::array<std::uint8_t, pageSize> b{};
 
     auto check = [&](std::uint32_t expect_examined) {
         int mem = std::memcmp(a.data(), b.data(), pageSize);
@@ -361,13 +362,13 @@ TEST(ContentTree, MatchesStdMapOrderingUnderChurn)
     // Differential test against std::map keyed by page bytes.
     PoolAccessor pool;
     ContentTree tree(pool);
-    std::map<std::vector<std::uint8_t>, PageHandle> reference;
+    std::map<std::array<std::uint8_t, pageSize>, PageHandle> reference;
     Rng rng(321);
 
     for (int i = 0; i < 120; ++i) {
         PageHandle h = pool.addPage(rng.next());
-        const std::uint8_t *data = pool.resolve(h);
-        std::vector<std::uint8_t> key(data, data + pageSize);
+        std::array<std::uint8_t, pageSize> key;
+        std::memcpy(key.data(), pool.resolve(h), pageSize);
         if (reference.emplace(key, h).second) {
             EXPECT_NE(tree.insert(h), nullptr);
         }

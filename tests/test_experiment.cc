@@ -8,6 +8,7 @@
 
 #include <algorithm>
 
+#include "golden_small.hh"
 #include "system/experiment.hh"
 
 namespace pageforge
@@ -133,24 +134,9 @@ TEST(ExperimentRunTest, ResultCarriesModeSpecificFields)
 
 TEST(ExperimentRunTest, AppOnlyMissRateIsPopulated)
 {
-    ExperimentConfig cfg;
-    cfg.memScale = 0.03;
-    cfg.warmupPasses = 2;
-    cfg.settleTime = msToTicks(2);
-    cfg.targetQueries = 50;
-    cfg.minMeasure = msToTicks(10);
-    cfg.maxMeasure = msToTicks(20);
-
-    SystemConfig tiny;
-    tiny.numCores = 2;
-    tiny.numVms = 2;
-    tiny.l1 = CacheConfig{"l1", 4 * 1024, 2, 2, 4};
-    tiny.l2 = CacheConfig{"l2", 16 * 1024, 4, 6, 8};
-    tiny.l3 = CacheConfig{"l3", 128 * 1024, 16, 20, 16};
-
-    AppProfile app = appByName("silo");
     ExperimentResult result =
-        runExperiment(app, DedupMode::None, cfg, tiny);
+        runExperiment(appByName(goldenSmallApp), DedupMode::None,
+                      goldenSmallExperiment(), goldenSmallSystem());
     EXPECT_GT(result.l3AppMissRate, 0.0);
     EXPECT_LE(result.l3AppMissRate, 1.0);
 }

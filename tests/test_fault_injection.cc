@@ -10,6 +10,7 @@
 #include <set>
 #include <stdexcept>
 
+#include "golden_small.hh"
 #include "sim_fixture.hh"
 
 #include "core/module_watchdog.hh"
@@ -370,31 +371,6 @@ TEST(MergeOracleTest, CountsChecksAndViolations)
 // Whole-system behaviour under injected faults
 // ---------------------------------------------------------------
 
-ExperimentConfig
-tinyFaultConfig()
-{
-    ExperimentConfig cfg;
-    cfg.memScale = 0.03;
-    cfg.warmupPasses = 2;
-    cfg.settleTime = msToTicks(2);
-    cfg.targetQueries = 50;
-    cfg.minMeasure = msToTicks(10);
-    cfg.maxMeasure = msToTicks(20);
-    return cfg;
-}
-
-SystemConfig
-tinySystem()
-{
-    SystemConfig sys;
-    sys.numCores = 2;
-    sys.numVms = 2;
-    sys.l1 = CacheConfig{"l1", 4 * 1024, 2, 2, 4};
-    sys.l2 = CacheConfig{"l2", 16 * 1024, 4, 6, 8};
-    sys.l3 = CacheConfig{"l3", 128 * 1024, 16, 20, 16};
-    return sys;
-}
-
 AppProfile
 tinyApp()
 {
@@ -405,15 +381,15 @@ tinyApp()
 
 TEST(FaultExperimentTest, IdenticalRunsStayIdenticalUnderFaults)
 {
-    ExperimentConfig cfg = tinyFaultConfig();
+    ExperimentConfig cfg = goldenSmallExperiment();
     cfg.faults = FaultConfig::parse(
         "rate=2e5,double=0.3,stuck=0.3,minikey=0.4,scantable=40,"
         "race=0.1,seed=5");
 
     ExperimentResult a = runExperiment(tinyApp(), DedupMode::PageForge,
-                                       cfg, tinySystem());
+                                       cfg, goldenSmallSystem());
     ExperimentResult b = runExperiment(tinyApp(), DedupMode::PageForge,
-                                       cfg, tinySystem());
+                                       cfg, goldenSmallSystem());
 
     EXPECT_TRUE(identicalResults(a, b));
     EXPECT_TRUE(a.faults.enabled);
@@ -424,13 +400,13 @@ TEST(FaultExperimentTest, IdenticalRunsStayIdenticalUnderFaults)
 
 TEST(FaultExperimentTest, KsmSurvivesUncorrectableErrors)
 {
-    ExperimentConfig cfg = tinyFaultConfig();
+    ExperimentConfig cfg = goldenSmallExperiment();
     cfg.faults.flipsPerGBSec = 2e5;
     cfg.faults.doubleBitFraction = 1.0; // every flip is uncorrectable
     cfg.faults.seed = 3;
 
     ExperimentResult r = runExperiment(tinyApp(), DedupMode::Ksm, cfg,
-                                       tinySystem());
+                                       goldenSmallSystem());
 
     EXPECT_GT(r.faults.flipEvents, 0u);
     // Counters reconcile: every poisoning traces to an uncorrectable
@@ -442,11 +418,11 @@ TEST(FaultExperimentTest, KsmSurvivesUncorrectableErrors)
 
 TEST(FaultExperimentTest, FaultSummaryDisabledOnCleanRuns)
 {
-    ExperimentConfig cfg = tinyFaultConfig();
+    ExperimentConfig cfg = goldenSmallExperiment();
     cfg.auditInterval = msToTicks(3); // audits pass on a healthy system
 
     ExperimentResult r = runExperiment(tinyApp(), DedupMode::Ksm, cfg,
-                                       tinySystem());
+                                       goldenSmallSystem());
     EXPECT_FALSE(r.faults.enabled);
     EXPECT_EQ(r.faults.flipEvents, 0u);
     EXPECT_GT(r.queries, 0u);
@@ -459,7 +435,7 @@ TEST(FaultExperimentTest, FaultSummaryDisabledOnCleanRuns)
 SystemConfig
 mcFleetSystem(unsigned num_mcs)
 {
-    SystemConfig sys = tinySystem();
+    SystemConfig sys = goldenSmallSystem();
     sys.numMcs = num_mcs;
     // Fast watchdog so detect -> quarantine -> restart -> re-admit
     // cycles many times inside the tiny measurement window.
@@ -472,7 +448,7 @@ mcFleetSystem(unsigned num_mcs)
 
 TEST(FaultExperimentTest, WedgeDrivesFailoverAndReadmission)
 {
-    ExperimentConfig cfg = tinyFaultConfig();
+    ExperimentConfig cfg = goldenSmallExperiment();
     cfg.faults =
         FaultConfig::parse("mcwedge=400,handoff_loss=0.1,seed=21");
 
@@ -518,7 +494,7 @@ TEST(FaultExperimentTest, WedgeDrivesFailoverAndReadmission)
 
 TEST(FaultExperimentTest, McFaultRunsAreDeterministic)
 {
-    ExperimentConfig cfg = tinyFaultConfig();
+    ExperimentConfig cfg = goldenSmallExperiment();
     cfg.faults = FaultConfig::parse(
         "mcwedge=400,handoff_loss=0.08,handoff_corrupt=0.05,"
         "handoff_spike=0.2,brownout=200,brownout_ms=0.2,seed=13");
@@ -537,7 +513,7 @@ TEST(FaultExperimentTest, McFaultRunsAreDeterministic)
 
 TEST(FaultExperimentTest, SingleMcWedgeRestartsWithoutFailover)
 {
-    ExperimentConfig cfg = tinyFaultConfig();
+    ExperimentConfig cfg = goldenSmallExperiment();
     cfg.faults = FaultConfig::parse("mcwedge=400,seed=17");
 
     ExperimentResult r = runExperiment(tinyApp(), DedupMode::PageForge,
@@ -592,7 +568,7 @@ TEST(FaultExperimentTest, WholeFleetWedgePausesTheLastShardInPlace)
 
 TEST(FaultExperimentTest, BrownoutDegradesAndRecovers)
 {
-    ExperimentConfig cfg = tinyFaultConfig();
+    ExperimentConfig cfg = goldenSmallExperiment();
     cfg.faults = FaultConfig::parse(
         "brownout=400,brownout_ms=0.2,brownout_mult=6,seed=19");
 

@@ -1,18 +1,22 @@
 #!/usr/bin/env python3
 """One golden corpus shape: identical results, plus the invariants.
 
-Usage: test_golden_corpus.py PFSIM SHAPE
+Usage: test_golden_corpus.py PRODUCER SHAPE
 
 Reads SHAPE's flags from tests/golden/shapes.txt and runs
-`PFSIM --campaign --jobs=4 <flags>`. Fails unless
-tools/compare_campaign_json.py finds the fresh report identical to
-tests/golden/SHAPE.json, which tools/regen_golden.sh writes at
---jobs=1, and unless the fresh report keeps these invariants:
+`PRODUCER --campaign --jobs=4 <flags>`, where PRODUCER is pfsim, or
+`PRODUCER --jobs=4 <flags>` for a shape that names its producer with
+@TARGET. Fails unless tools/compare_campaign_json.py finds the fresh
+report identical to tests/golden/SHAPE.json, which
+tools/regen_golden.sh writes at --jobs=1, and unless the fresh report
+keeps these invariants:
 
   - every cell is ok;
-  - wherever a faults block exists, oracle_violations == 0, and every
+  - wherever a faults block exists, oracle_violations == 0, every
     fault class the --faults spec enables fired in every cell whose
-    mode can fire it (handoff classes only at more than one MC);
+    mode can fire it (handoff classes only at more than one MC), and
+    where handoffs were lost and none dead-lettered, every lost
+    handoff was retried (handoff_retries == handoffs_lost);
   - under --churn, every cell cloned or booted a VM;
   - under --num-mcs=N > 1, every cell reports N MCs, PageForge cells
     scan, handoffs_in == handoffs_out unless handoffs were lost or
@@ -49,11 +53,14 @@ REFUSING_MODES = {"poisoned-targets": {"KSM", "PageForge"}}
 
 
 def shape_flags(name):
+    """(producer, flags): producer is None for a pfsim shape."""
     for line in (GOLDEN / "shapes.txt").read_text().splitlines():
         if line and not line.startswith("#"):
             shape, *flags = shlex.split(line)
             if shape == name:
-                return flags
+                if flags and flags[0].startswith("@"):
+                    return flags[0][1:], flags[1:]
+                return None, flags
     sys.exit(f"test_golden_corpus: no shape {name!r} in shapes.txt")
 
 
@@ -94,6 +101,12 @@ def check(name, flags, report):
             for counter in fault_classes(spec, cell["mode"], num_mcs):
                 if not faults[counter]:
                     yield f"{where}: injected class {counter} never fired"
+            if (faults["handoffs_lost"] and
+                    not faults["handoff_dead_letters"] and
+                    faults["handoff_retries"] != faults["handoffs_lost"]):
+                yield (f"{where}: handoff_retries "
+                       f"{faults['handoff_retries']} != handoffs_lost "
+                       f"{faults['handoffs_lost']}")
             refusals[cell["mode"]] = (refusals.get(cell["mode"], 0) +
                                       faults["poisoned_merge_refusals"])
         if flag_value(flags, "churn"):
@@ -127,8 +140,9 @@ def main(argv):
     if len(argv) != 3:
         print(__doc__, file=sys.stderr)
         return 2
-    pfsim, name = argv[1], argv[2]
-    flags = shape_flags(name)
+    binary, name = argv[1], argv[2]
+    producer, flags = shape_flags(name)
+    campaign = ["--campaign"] if producer is None else []
     golden = GOLDEN / f"{name}.json"
     if not golden.exists():
         print(f"FAIL: {golden} is missing; run tools/regen_golden.sh")
@@ -137,11 +151,12 @@ def main(argv):
     with tempfile.TemporaryDirectory() as tmp:
         fresh = pathlib.Path(tmp) / f"{name}.json"
         run = subprocess.run(
-            [pfsim, "--campaign", "--jobs=4", *flags, f"--json={fresh}"],
+            [binary, *campaign, "--jobs=4", *flags, f"--json={fresh}"],
             capture_output=True, text=True)
         if not fresh.exists():
             print(run.stdout, run.stderr)
-            print(f"FAIL: pfsim exited {run.returncode} without a report")
+            print(f"FAIL: {binary} exited {run.returncode} "
+                  "without a report")
             return 1
         same = subprocess.run([sys.executable, str(COMPARE), str(golden),
                                str(fresh)]).returncode
@@ -149,7 +164,7 @@ def main(argv):
     for problem in problems:
         print(f"FAIL: {problem}")
     if run.returncode != 0:
-        print(f"FAIL: pfsim exited {run.returncode}")
+        print(f"FAIL: {binary} exited {run.returncode}")
     return 1 if same or problems or run.returncode else 0
 
 

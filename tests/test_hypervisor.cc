@@ -215,6 +215,27 @@ TEST_F(HypervisorTest, CloneDoesNotSharePoisonedFrames)
     EXPECT_TRUE(hyper.vm(vm0).page(1).cow);
 }
 
+TEST_F(HypervisorTest, AuditFailsWhenAPoisonedFrameGainsASharer)
+{
+    fillPage(vm0, 0, 0x66);
+    fillPage(vm1, 0, 0x66);
+    FrameId poisoned = hyper.frameOf(vm0, 0);
+    mem.poisonFrame(poisoned);
+    EXPECT_TRUE(hyper.auditFrames().ok);
+
+    // Share the poisoned frame the way a path that skips the
+    // quarantine check would: refcounts stay consistent, so only the
+    // poisoned-sharer rule can tell.
+    PageState &page = hyper.vm(vm1).page(0);
+    mem.decRef(page.frame);
+    mem.addRef(poisoned);
+    page.frame = poisoned;
+    FrameAuditReport audit = hyper.auditFrames();
+    EXPECT_FALSE(audit.ok);
+    EXPECT_NE(audit.problem.find("gained a sharer"), std::string::npos)
+        << audit.problem;
+}
+
 TEST_F(HypervisorTest, MadviseMarksRange)
 {
     hyper.markMergeable(vm0, 2, 3);

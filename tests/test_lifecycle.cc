@@ -131,8 +131,9 @@ TEST_F(LifecycleKsmdTest, CloneMergeTeardownLeaksNothing)
         ASSERT_TRUE(mem.isAllocated(handleFrame(handle)));
     });
     ksmd.unstableTree().forEach([&](PageHandle handle) {
-        if (isGuestHandle(handle))
+        if (isGuestHandle(handle)) {
             ASSERT_NE(handleGuest(handle).vm, clone);
+        }
     });
     FrameAuditReport audit = hyper.auditFrames();
     EXPECT_TRUE(audit.ok) << audit.problem;
@@ -194,8 +195,9 @@ TEST_F(LifecycleDriverTest, SynchronousPurgeDropsDeadVmEntries)
         ASSERT_TRUE(mem.isAllocated(handleFrame(handle)));
     });
     driver.unstableTree(0).forEach([&](PageHandle handle) {
-        if (isGuestHandle(handle))
+        if (isGuestHandle(handle)) {
             ASSERT_NE(handleGuest(handle).vm, b);
+        }
     });
     FrameAuditReport audit = hyper.auditFrames();
     EXPECT_TRUE(audit.ok) << audit.problem;
@@ -221,8 +223,9 @@ TEST_F(LifecycleDriverTest, MidFlightDestroyAbortsTheBatchSafely)
 
     EXPECT_FALSE(hyper.vmAlive(b));
     driver.unstableTree(0).forEach([&](PageHandle handle) {
-        if (isGuestHandle(handle))
+        if (isGuestHandle(handle)) {
             ASSERT_NE(handleGuest(handle).vm, b);
+        }
     });
     driver.stableTree(0).forEach([&](PageHandle handle) {
         ASSERT_TRUE(mem.isAllocated(handleFrame(handle)));

@@ -89,7 +89,7 @@ TEST_F(PageForgeDriverTest, MatchesKsmMemorySavingsExactly)
     std::vector<Core *> core_ptrs2;
     for (unsigned c = 0; c < numCores; ++c) {
         cores2.push_back(std::make_unique<Core>(
-            "c" + std::to_string(c), eq2, static_cast<CoreId>(c)));
+            "core" + std::to_string(c), eq2, static_cast<CoreId>(c)));
         core_ptrs2.push_back(cores2.back().get());
     }
     KsmScheduler sched2("s", eq2, numCores, KsmPlacement::RoundRobin,

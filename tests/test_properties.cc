@@ -6,6 +6,7 @@
  */
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <map>
@@ -284,17 +285,15 @@ TEST_P(ContentTreeSweep, SortedOrderAndInvariants)
 {
     TreePool pool;
     ContentTree tree(pool);
-    std::map<std::vector<std::uint8_t>, PageHandle> reference;
+    std::map<std::array<std::uint8_t, pageSize>, PageHandle> reference;
     Rng rng(static_cast<std::uint64_t>(GetParam()) * 77 + 5);
 
     const int n = GetParam();
     for (int i = 0; i < n; ++i) {
         PageHandle handle = pool.add(rng.next());
-        const std::uint8_t *data = pool.resolve(handle);
-        if (reference
-                .emplace(std::vector<std::uint8_t>(data, data + pageSize),
-                         handle)
-                .second) {
+        std::array<std::uint8_t, pageSize> bytes;
+        std::memcpy(bytes.data(), pool.resolve(handle), pageSize);
+        if (reference.emplace(bytes, handle).second) {
             ASSERT_NE(tree.insert(handle), nullptr);
         }
     }

@@ -300,8 +300,9 @@ TEST(Shard, PerShardTreesOwnDisjointKeyPrefixRanges)
             PageKey key = handleGuest(handle);
             const std::uint8_t *data =
                 system.hypervisor().pageData(key.vm, key.gpn);
-            if (data)
+            if (data) {
                 EXPECT_EQ(map.contentShardOf(data), shard);
+            }
         });
     }
     // Warm-up must actually have populated the stable trees, or the
